@@ -25,7 +25,7 @@ pub mod traffic;
 pub mod viz;
 
 pub use pingpong::{PingPong, PingPongResult};
-pub use scenario::{env_threads, run_env_windowed, GarnetLab, Scheduler, TwoSites};
+pub use scenario::{env_threads, run_env_windowed, with_gara, GarnetLab, Scheduler, TwoSites};
 pub use stencil::{steady_iteration_rate, IterationLog, StencilCfg, StencilRank};
 pub use traffic::{MeteredTcpReceiver, PacedTcpSender, UdpBlaster, UdpSink};
 pub use viz::{finish_viz, VizCfg, VizReceiver, VizRun, VizSendStats, VizSender};

@@ -22,6 +22,21 @@ pub fn env_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Run `f` against the GARA broker installed on `stack` — how scripted
+/// actions, which see only the network and the stack, reach it.
+pub fn with_gara<R>(
+    stack: &mut Stack,
+    net: &mut Net,
+    f: impl FnOnce(&mut Gara, &mut Net) -> R,
+) -> R {
+    let mut g = stack
+        .take_service::<Gara>()
+        .expect("GARA service installed");
+    let r = f(&mut g, net);
+    stack.put_service_box(g);
+    r
+}
+
 /// Window width for [`run_env_windowed`] when `MPICHGQ_THREADS > 1`.
 const ENV_WINDOW_MS: u64 = 10;
 
@@ -134,14 +149,7 @@ impl GarnetLab {
 
     /// Run `f` with the GARA service and the network.
     pub fn with_gara<R>(&mut self, f: impl FnOnce(&mut Gara, &mut Net) -> R) -> R {
-        let mut g = self
-            .sim
-            .stack
-            .take_service::<Gara>()
-            .expect("GARA service installed by GarnetLab::new");
-        let r = f(&mut g, &mut self.sim.net);
-        self.sim.stack.put_service_box(g);
-        r
+        with_gara(&mut self.sim.stack, &mut self.sim.net, f)
     }
 
     /// Start the paper's UDP contention generator between the competitive

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpichgq_apps::PingPong;
+use mpichgq_bench::bulk::BulkTx;
 use mpichgq_mpi::JobBuilder;
 use mpichgq_netsim::topology::Dumbbell;
 use mpichgq_sim::{SimDelta, SimTime};
@@ -11,35 +12,7 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::rc::Rc;
 
-struct BulkTx {
-    dst: mpichgq_netsim::NodeId,
-    total: u64,
-    sent: u64,
-    sock: Option<SockId>,
-}
-impl App for BulkTx {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.sock = Some(ctx.tcp_connect(self.dst, 7000, TcpCfg::default(), DataMode::Counted));
-    }
-    fn on_connected(&mut self, _s: SockId, ctx: &mut Ctx) {
-        self.pump(ctx);
-    }
-    fn on_writable(&mut self, _s: SockId, ctx: &mut Ctx) {
-        self.pump(ctx);
-    }
-}
-impl BulkTx {
-    fn pump(&mut self, ctx: &mut Ctx) {
-        let s = self.sock.unwrap();
-        while self.sent < self.total {
-            let n = ctx.send(s, (self.total - self.sent).min(16 * 1024));
-            self.sent += n;
-            if n == 0 {
-                break;
-            }
-        }
-    }
-}
+/// Counts what it drains, so the bench can check the transfer finished.
 struct BulkRx {
     got: Rc<RefCell<u64>>,
 }
@@ -60,15 +33,7 @@ fn bench_tcp_bulk(c: &mut Criterion) {
             let mut sim = Sim::new(d.net);
             let got = Rc::new(RefCell::new(0u64));
             sim.spawn_app(dst, Box::new(BulkRx { got: got.clone() }));
-            sim.spawn_app(
-                src,
-                Box::new(BulkTx {
-                    dst,
-                    total: 4_000_000,
-                    sent: 0,
-                    sock: None,
-                }),
-            );
+            sim.spawn_app(src, Box::new(BulkTx::new(dst, 7000, 4_000_000)));
             sim.run_until(SimTime::from_secs(10));
             let delivered = *got.borrow();
             assert_eq!(delivered, 4_000_000);

@@ -1,118 +1,34 @@
-//! Events-per-second benchmark for the two event-scheduler backends.
+//! Events-per-second benchmark for the event engine.
 //!
 //! Runs five workloads — a pure engine churn loop, the ping-pong transport
-//! workload (the headline comparison), the same ping-pong with the
-//! flight recorder and timeline sampler armed (a non-gated
-//! instrumentation-overhead probe), a many-flow bulk TCP simulation,
-//! and the Figure 1 sawtooth — under both
-//! [`SchedulerKind::Heap`] and [`SchedulerKind::Calendar`], and writes
+//! workload, the same ping-pong with the flight recorder and timeline
+//! sampler armed (a non-gated instrumentation-overhead probe), a many-flow
+//! bulk TCP simulation, and the Figure 1 sawtooth — and writes
 //! `BENCH_engine.json` at the repository root (or to the path given as the
-//! first CLI argument).
+//! first CLI argument). `scripts/perf_gate.py` compares each workload's
+//! `calendar.events_per_sec` against the committed baseline.
 //!
-//! For every simulation workload the processed-event counts must match
-//! exactly between backends (the schedulers are observably equivalent);
-//! the binary asserts this, so it doubles as a determinism smoke test.
+//! Every repeat of a workload must process the same number of events, so
+//! the binary doubles as a determinism smoke test.
 //!
 //! Run with: `cargo run --release -p mpichgq-bench --bin bench_engine`
 
-use mpichgq_bench::bulk::transport_multiflow_bulk;
-use mpichgq_bench::{
-    fig1_tcp_sawtooth_counted, fig5_pingpong_point_counted, fig5_pingpong_point_sampled_counted,
-    Fig1Cfg, Fig5Cfg,
-};
-use mpichgq_sim::{Engine, SchedulerKind, SimDelta, SimRng, SimTime};
-use std::time::Instant;
+use mpichgq_bench::bulk::{measure, transport_multiflow_bulk};
+use mpichgq_bench::{fig1, fig5, Fig1Cfg, Fig5Cfg, RunOpts, TRACE_CAPACITY};
+use mpichgq_sim::{Engine, SimDelta, SimRng, SimTime};
 
-/// Wall-clock repeats per (workload, backend); best run is reported so
-/// one-off scheduling hiccups don't skew the ratio.
+/// Wall-clock repeats per workload; the best run is reported so one-off
+/// scheduling hiccups don't skew the rate.
 const REPEATS: usize = 3;
-
-struct Measurement {
-    events: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-}
-
-struct WorkloadResult {
-    name: &'static str,
-    description: &'static str,
-    /// Whether `scripts/perf_gate.py` should compare this workload against
-    /// the committed baseline. The instrumentation-overhead entry is
-    /// informative only, so it reports `false`.
-    perf_gated: bool,
-    heap: Measurement,
-    calendar: Measurement,
-}
-
-impl WorkloadResult {
-    fn speedup(&self) -> f64 {
-        self.calendar.events_per_sec / self.heap.events_per_sec
-    }
-}
-
-/// Run `f` `repeats` times and keep the fastest wall-clock run; every
-/// repeat must process the same number of events (determinism check).
-fn measure(repeats: usize, f: impl Fn() -> u64) -> Measurement {
-    let mut best_secs = f64::INFINITY;
-    let mut events = 0u64;
-    for rep in 0..repeats {
-        let t0 = Instant::now();
-        let n = f();
-        let secs = t0.elapsed().as_secs_f64();
-        if rep == 0 {
-            events = n;
-        } else {
-            assert_eq!(n, events, "event count varied across repeats");
-        }
-        best_secs = best_secs.min(secs);
-    }
-    Measurement {
-        events,
-        wall_secs: best_secs,
-        events_per_sec: events as f64 / best_secs,
-    }
-}
-
-fn run_workload(
-    repeats: usize,
-    name: &'static str,
-    description: &'static str,
-    perf_gated: bool,
-    f: impl Fn(SchedulerKind) -> u64,
-) -> WorkloadResult {
-    eprintln!("[bench_engine] {name}: heap ...");
-    let heap = measure(repeats, || f(SchedulerKind::Heap));
-    eprintln!(
-        "[bench_engine] {name}: heap {:.0} ev/s; calendar ...",
-        heap.events_per_sec
-    );
-    let calendar = measure(repeats, || f(SchedulerKind::Calendar));
-    eprintln!(
-        "[bench_engine] {name}: calendar {:.0} ev/s ({:.2}x)",
-        calendar.events_per_sec,
-        calendar.events_per_sec / heap.events_per_sec
-    );
-    assert_eq!(
-        heap.events, calendar.events,
-        "{name}: backends disagreed on processed-event count"
-    );
-    WorkloadResult {
-        name,
-        description,
-        perf_gated,
-        heap,
-        calendar,
-    }
-}
 
 /// Pure scheduler churn: hold a standing population of pending events and
 /// repeatedly pop-then-reschedule with pseudorandom inter-event gaps.
 /// Measures the engine alone, with no per-event simulation work diluting
-/// the comparison.
-fn engine_churn(kind: SchedulerKind, quick: bool) -> u64 {
+/// the rate.
+fn engine_churn(quick: bool) -> u64 {
     let population: usize = if quick { 50_000 } else { 100_000 };
     let ops: usize = if quick { 500_000 } else { 2_000_000 };
-    let mut eng: Engine<u64> = Engine::with_scheduler(kind);
+    let mut eng: Engine<u64> = Engine::new();
     let mut rng = SimRng::new(0xBEEF);
     for i in 0..population {
         // Gaps from 1 ns to ~1 ms, with frequent exact ties.
@@ -127,48 +43,18 @@ fn engine_churn(kind: SchedulerKind, quick: bool) -> u64 {
     eng.processed()
 }
 
-fn fig1_sawtooth(kind: SchedulerKind) -> u64 {
-    let cfg = Fig1Cfg {
-        duration: SimTime::from_secs(20),
-        scheduler: kind,
-        ..Fig1Cfg::default()
-    };
-    fig1_tcp_sawtooth_counted(cfg).1
-}
-
-/// The headline comparison: the paper's ping-pong transport workload (one
-/// Figure 5 point) — MPI ping-pong over TCP across GARNET with contending
-/// traffic on both trunk directions and a premium reservation.
-fn transport_pingpong(kind: SchedulerKind, quick: bool) -> u64 {
+/// The paper's ping-pong transport workload (one Figure 5 point) — MPI
+/// ping-pong over TCP across GARNET with contending traffic on both trunk
+/// directions and a premium reservation — instrumented per `opts`. With
+/// the flight recorder and sampler armed, the events/sec delta against the
+/// plain run is the cost of observability.
+fn transport_pingpong(quick: bool, opts: &RunOpts) -> u64 {
     let mut cfg = Fig5Cfg::new(40 * 1000 / 8, 6000.0);
-    cfg.scheduler = kind;
     if quick {
         cfg.duration = SimTime::from_secs(8);
         cfg.warmup = SimTime::from_secs(3);
     }
-    fig5_pingpong_point_counted(cfg).1
-}
-
-/// [`transport_pingpong`] with the flight recorder and the timeline
-/// sampler armed at the figure-run defaults. The events/sec delta against
-/// the unsampled `transport_pingpong` entry is the cost of observability;
-/// the entry is labeled `perf_gated: false` so it is never compared
-/// against the committed baseline.
-fn transport_pingpong_sampled(kind: SchedulerKind, quick: bool) -> u64 {
-    let mut cfg = Fig5Cfg::new(40 * 1000 / 8, 6000.0);
-    cfg.scheduler = kind;
-    if quick {
-        cfg.duration = SimTime::from_secs(8);
-        cfg.warmup = SimTime::from_secs(3);
-    }
-    fig5_pingpong_point_sampled_counted(cfg).1
-}
-
-fn json_measurement(m: &Measurement) -> String {
-    format!(
-        "{{\"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}}}",
-        m.events, m.wall_secs, m.events_per_sec
-    )
+    fig5(cfg, opts).events
 }
 
 fn main() {
@@ -185,95 +71,70 @@ fn main() {
         .unwrap_or_else(|| "BENCH_engine.json".to_string());
     let repeats = if quick { 2 } else { REPEATS };
 
-    let mut results = vec![
-        run_workload(
-            repeats,
+    // (name, description, perf-gated, workload); `perf_gated: false`
+    // entries are informative only — perf_gate.py never compares them.
+    type Workload<'a> = (&'static str, &'static str, bool, Box<dyn Fn() -> u64 + 'a>);
+    let mut workloads: Vec<Workload> = vec![
+        (
             "engine_churn",
             "pure Engine pop+reschedule loop, 100k standing events, 2M ops",
             true,
-            move |k| engine_churn(k, quick),
+            Box::new(|| engine_churn(quick)),
         ),
-        run_workload(
-            repeats,
+        (
             "transport_pingpong",
             "MPI ping-pong over TCP on GARNET (40 Kb msg, 6 Mb/s reservation) with bidirectional contention — the Figure 5 transport workload",
             true,
-            move |k| transport_pingpong(k, quick),
+            Box::new(|| transport_pingpong(quick, &RunOpts::OFF)),
         ),
-        run_workload(
-            repeats,
+        (
             "transport_pingpong_sampled",
             "transport_pingpong with the flight recorder and the 100 ms timeline sampler armed — instrumentation-overhead probe, informative only (not perf-gated)",
             false,
-            move |k| transport_pingpong_sampled(k, quick),
+            Box::new(|| transport_pingpong(quick, &RunOpts::traced(TRACE_CAPACITY))),
         ),
     ];
     if !quick {
-        results.push(run_workload(
-            repeats,
+        workloads.push((
             "transport_multiflow_bulk",
             "32 bulk TCP flows over a shared OC12 trunk (20 ms), 10 s simulated",
             true,
-            |k| transport_multiflow_bulk(k, SimTime::from_secs(10)),
+            Box::new(|| transport_multiflow_bulk(SimTime::from_secs(10))),
         ));
-        results.push(run_workload(
-            repeats,
+        workloads.push((
             "fig1_sawtooth",
             "Figure 1 premium-vs-competitive sawtooth on GARNET, 20 s simulated",
             true,
-            fig1_sawtooth,
+            Box::new(|| {
+                let cfg = Fig1Cfg {
+                    duration: SimTime::from_secs(20),
+                    ..Fig1Cfg::default()
+                };
+                fig1(cfg, &RunOpts::OFF).events
+            }),
         ));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"bench_engine\",\n");
-    json.push_str(
-        "  \"note\": \"events/sec per scheduler backend; best of N runs; release build; \
-         event counts asserted identical across backends\",\n",
-    );
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"repeats\": {repeats},\n"));
-    json.push_str("  \"workloads\": [\n");
-    for (i, w) in results.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"name\": \"{}\",\n", w.name));
-        json.push_str(&format!("      \"description\": \"{}\",\n", w.description));
-        json.push_str(&format!("      \"perf_gated\": {},\n", w.perf_gated));
-        json.push_str(&format!("      \"heap\": {},\n", json_measurement(&w.heap)));
-        json.push_str(&format!(
-            "      \"calendar\": {},\n",
-            json_measurement(&w.calendar)
-        ));
-        json.push_str(&format!(
-            "      \"speedup_calendar_over_heap\": {:.3}\n",
-            w.speedup()
-        ));
-        json.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-
-    println!("{json}");
-    let transport = results
+    let entries: Vec<String> = workloads
         .iter()
-        .find(|w| w.name == "transport_pingpong")
-        .unwrap();
-    println!(
-        "transport_pingpong speedup (calendar/heap): {:.3}x (gate: >= 1.3x, full mode)",
-        transport.speedup()
+        .map(|(name, description, perf_gated, f)| {
+            eprintln!("[bench_engine] {name} ...");
+            let m = measure(repeats, f);
+            eprintln!("[bench_engine] {name}: {:.0} ev/s", m.events_per_sec);
+            format!(
+                "    {{\n      \"name\": \"{name}\",\n      \"description\": \"{description}\",\n      \
+                 \"perf_gated\": {perf_gated},\n      \"calendar\": {}\n    }}",
+                m.json()
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"benchmark\": \"bench_engine\",\n  \
+         \"note\": \"events/sec of the calendar-queue engine; best of N runs; release build; \
+         event counts asserted identical across repeats\",\n  \"quick\": {quick},\n  \
+         \"repeats\": {repeats},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
     );
-    // The speedup gate needs the full-length workload; quick runs are
-    // compared against the committed baseline by scripts/perf_gate.py
-    // instead, which has its own noise tolerance.
-    if !quick {
-        assert!(
-            transport.speedup() >= 1.3,
-            "ping-pong transport workload below the 1.3x events/sec gate"
-        );
-    }
+    std::fs::write(&out_path, &json).expect("write benchmark JSON");
+    println!("{json}");
 }

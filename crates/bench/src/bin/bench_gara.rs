@@ -26,7 +26,7 @@
 //! (`--quick` for the CI smoke mode: same topology and op mix, fewer
 //! ops and the largest table skipped, so rates stay comparable).
 
-use mpichgq_bench::output::write_metrics;
+use mpichgq_bench::output::write_artifact;
 use mpichgq_gara::{Gara, NetworkRequest, Request, ResvId, SlotTable, StartSpec};
 use mpichgq_netsim::{DepthRule, LinkCfg, Net, NodeId, PolicingAction, QueueCfg, TopoBuilder};
 use mpichgq_obs::Histogram;
@@ -443,7 +443,7 @@ fn main() {
     // lifecycle counters, per-reason reject breakdown, and every
     // workload's admission histogram.
     let metrics = net.metrics_json();
-    write_metrics("gara", &metrics);
+    write_artifact("gara", "metrics.json", &metrics);
 
     let mut json = String::new();
     json.push_str("{\n");

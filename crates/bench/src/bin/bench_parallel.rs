@@ -19,11 +19,13 @@
 //! Run with: `cargo run --release -p mpichgq-bench --bin bench_parallel`
 //! (`--quick` for the CI smoke mode: shorter simulations, one repeat).
 
-use mpichgq_bench::bulk::{edge_link, oc12_trunk, transport_multiflow_bulk, BulkRx, BulkTx};
+use mpichgq_bench::bulk::{
+    edge_link, measure, oc12_trunk, transport_multiflow_bulk, BulkRx, BulkTx,
+};
 use mpichgq_netsim::net::TopoBuilder;
 use mpichgq_netsim::queue::QueueCfg;
 use mpichgq_netsim::{run_partitioned, LinkCfg, Net, NodeId, Partition};
-use mpichgq_sim::{SchedulerKind, SimDelta, SimTime};
+use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::Stack;
 use std::time::Instant;
 
@@ -50,7 +52,6 @@ struct Group {
 /// bound. Every call builds the identical topology.
 fn scale_topo() -> (TopoBuilder, Vec<Group>) {
     let mut b = TopoBuilder::new(0x5CA1E);
-    b.scheduler(SchedulerKind::Calendar);
     let q = QueueCfg::priority_default();
     let intra_trunk = LinkCfg {
         delay: SimDelta::from_millis(2),
@@ -191,22 +192,13 @@ fn main() {
     // --- Engine compat: the bench_engine workload, monolithic. ----------
     let compat_sim_secs = if quick { 2 } else { 10 };
     eprintln!("[bench_parallel] engine compat ({compat_sim_secs} s simulated) ...");
-    let mut compat_events = 0u64;
-    let mut compat_best = f64::INFINITY;
-    for rep in 0..repeats {
-        let t0 = Instant::now();
-        let n =
-            transport_multiflow_bulk(SchedulerKind::Calendar, SimTime::from_secs(compat_sim_secs));
-        let secs = t0.elapsed().as_secs_f64();
-        if rep == 0 {
-            compat_events = n;
-        } else {
-            assert_eq!(n, compat_events, "engine compat event count varied");
-        }
-        compat_best = compat_best.min(secs);
-    }
-    let compat_eps = compat_events as f64 / compat_best;
-    eprintln!("[bench_parallel] engine compat: {compat_eps:.0} ev/s");
+    let compat = measure(repeats, || {
+        transport_multiflow_bulk(SimTime::from_secs(compat_sim_secs))
+    });
+    eprintln!(
+        "[bench_parallel] engine compat: {:.0} ev/s",
+        compat.events_per_sec
+    );
 
     // --- Sharded scaling sweep. ------------------------------------------
     let (topo, _) = scale_topo();
@@ -286,10 +278,7 @@ fn main() {
     json.push_str("  \"engine_compat\": {\n");
     json.push_str("    \"name\": \"transport_multiflow_bulk\",\n");
     json.push_str(&format!("    \"sim_secs\": {compat_sim_secs},\n"));
-    json.push_str(&format!(
-        "    \"calendar\": {{\"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}}}\n",
-        compat_events, compat_best, compat_eps
-    ));
+    json.push_str(&format!("    \"calendar\": {}\n", compat.json()));
     json.push_str("  },\n");
     json.push_str("  \"scaling\": {\n");
     json.push_str("    \"name\": \"sharded_multiflow_4x\",\n");

@@ -4,14 +4,57 @@
 //! single-threaded workload for their events/sec numbers to be
 //! comparable (scripts/perf_gate.py checks the parallel engine's
 //! one-thread rate against the committed `BENCH_engine.json` baseline),
-//! so the 32-flow trunk simulation lives here and both binaries call it.
+//! so the 32-flow trunk simulation lives here and both binaries call it,
+//! measured by the same best-of-N [`measure`].
 
 use mpichgq_netsim::link::{Framing, LinkCfg};
 use mpichgq_netsim::net::TopoBuilder;
 use mpichgq_netsim::queue::QueueCfg;
 use mpichgq_netsim::NodeId;
-use mpichgq_sim::{SchedulerKind, SimDelta, SimTime};
+use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::{App, Ctx, DataMode, Sim, SockId, TcpCfg};
+use std::time::Instant;
+
+/// The best wall-clock run of a workload.
+pub struct Measurement {
+    pub events: u64,
+    pub wall_secs: f64,
+    pub events_per_sec: f64,
+}
+
+impl Measurement {
+    /// The `{"events", "wall_secs", "events_per_sec"}` object of the
+    /// BENCH files (what `scripts/perf_gate.py` reads).
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}}}",
+            self.events, self.wall_secs, self.events_per_sec
+        )
+    }
+}
+
+/// Run `f` `repeats` times and keep the fastest wall-clock run; every
+/// repeat must process the same number of events (determinism check).
+pub fn measure(repeats: usize, f: impl Fn() -> u64) -> Measurement {
+    let mut best_secs = f64::INFINITY;
+    let mut events = 0u64;
+    for rep in 0..repeats {
+        let t0 = Instant::now();
+        let n = f();
+        let secs = t0.elapsed().as_secs_f64();
+        if rep == 0 {
+            events = n;
+        } else {
+            assert_eq!(n, events, "event count varied across repeats");
+        }
+        best_secs = best_secs.min(secs);
+    }
+    Measurement {
+        events,
+        wall_secs: best_secs,
+        events_per_sec: events as f64 / best_secs,
+    }
+}
 
 /// Greedy bulk sender: connect, then keep the socket's send window full.
 pub struct BulkTx {
@@ -94,10 +137,9 @@ pub fn oc12_trunk() -> LinkCfg {
 /// sharing one high-bandwidth-delay trunk, so the engine carries a deep
 /// standing population of in-flight Deliver events plus per-flow TCP
 /// timers. Returns the processed-event count at `duration`.
-pub fn transport_multiflow_bulk(kind: SchedulerKind, duration: SimTime) -> u64 {
+pub fn transport_multiflow_bulk(duration: SimTime) -> u64 {
     const FLOWS: usize = 32;
     let mut b = TopoBuilder::new(0xF10E5);
-    b.scheduler(kind);
     let r1 = b.router("r1");
     let r2 = b.router("r2");
     let q = QueueCfg::priority_default();
@@ -117,15 +159,5 @@ pub fn transport_multiflow_bulk(kind: SchedulerKind, duration: SimTime) -> u64 {
         sim.spawn_app(src, Box::new(BulkTx::new(dst, 7000, u64::MAX / 2)));
     }
     sim.run_until(duration);
-    if std::env::var_os("BENCH_ENGINE_STATS").is_some() {
-        if let Some(s) = sim.net.scheduler_stats() {
-            eprintln!(
-                "[stats] transport_multiflow: pending={} processed={} {:?}",
-                sim.net.pending_events(),
-                sim.net.events_processed(),
-                s
-            );
-        }
-    }
     sim.net.events_processed()
 }

@@ -1,109 +1,119 @@
 //! The experiment implementations (paper §5).
 
 use mpichgq_apps::{
-    finish_viz, run_env_windowed, GarnetLab, MeteredTcpReceiver, PacedTcpSender, PingPong,
-    Scheduler, VizCfg, VizReceiver, VizSender,
+    finish_viz, run_env_windowed, with_gara, GarnetLab, MeteredTcpReceiver, PacedTcpSender,
+    PingPong, Scheduler, VizCfg, VizReceiver, VizRun, VizSender,
 };
 use mpichgq_core::{enable_qos, AdaptPolicy, AdaptState, AdaptiveFlow, QosAgentCfg, QosAttribute};
-use mpichgq_gara::{install as install_gara, CpuRequest, Gara, NetworkRequest, Request, StartSpec};
+use mpichgq_dsrt::ProcId;
+use mpichgq_gara::{
+    install as install_gara, CpuRequest, Gara, NetworkRequest, Request, ResvId, StartSpec,
+};
 use mpichgq_mpi::{
     ErrorHandler, JobBuilder, JobHandle, Mpi, MpiProgram, Poll, ProgramFactory, ReqId, COMM_WORLD,
 };
 use mpichgq_netsim::{
     depth_for, ClassCfg, DepthRule, Dscp, FaultAction, FaultPlan, FaultStats, FlowSpec, Framing,
-    GarnetCfg, LinkCfg, NodeId, PolicingAction, Proto, QueueCfg, RedCfg, SchedCfg, SchedKind,
+    GarnetCfg, LinkCfg, Net, NodeId, PolicingAction, Proto, QueueCfg, RedCfg, SchedCfg, SchedKind,
     TokenBucket, TopoBuilder,
 };
-use mpichgq_sim::{SchedulerKind, SimDelta, SimTime, TimeSeries};
+use mpichgq_sim::{SimDelta, SimTime, TimeSeries};
 use mpichgq_tcp::{Sim, TcpCfg};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The offered UDP contention load: enough to keep the best-effort queue
 /// of an OC3 trunk persistently full.
 pub const CONTENTION_BPS: u64 = 150_000_000;
 
-fn secs(s: f64) -> SimTime {
-    SimTime::from_secs_f64(s)
+/// How an experiment run is instrumented. Instrumentation observes the
+/// simulation without changing it: series and event counts are identical
+/// for every `RunOpts`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOpts {
+    /// Flight-recorder ring size; a non-zero capacity also arms the packet
+    /// lifecycle tracer (histograms, SLO ledger). `0` leaves both off.
+    pub trace_capacity: usize,
+    /// Timeline sampling interval (`timeline.json`); `None` = sampling off.
+    pub timeline: Option<SimDelta>,
 }
 
-/// Observability bundle every instrumented experiment returns alongside its
-/// series: the engine's processed-event count (for the events/sec benchmark
-/// and determinism tests) and the full registry + flight-recorder snapshot
-/// (what the binaries write to `results/<experiment>/metrics.json`).
+impl RunOpts {
+    /// No instrumentation: the plain simulation.
+    pub const OFF: RunOpts = RunOpts {
+        trace_capacity: 0,
+        timeline: None,
+    };
+
+    /// Flight recorder at `trace_capacity` plus the
+    /// [`TIMELINE_DEFAULT_MS`] sampler — the figure runs' instrumentation.
+    pub const fn traced(trace_capacity: usize) -> RunOpts {
+        RunOpts {
+            trace_capacity,
+            timeline: Some(SimDelta::from_millis(TIMELINE_DEFAULT_MS)),
+        }
+    }
+}
+
+/// What every experiment returns: its output `out` plus the engine's
+/// processed-event count and the observability snapshot the `fig` binary
+/// writes under `results/<experiment>/`.
 #[derive(Debug, Clone)]
-pub struct RunMetrics {
+pub struct RunReport<T> {
+    pub out: T,
     pub events: u64,
+    /// Registry + flight-recorder snapshot (`metrics.json`).
     pub metrics_json: String,
     /// Chrome trace-event export of the packet lifecycle (empty events
     /// array when tracing was off); `qtrace` summarizes it.
     pub trace_json: String,
     /// Fixed-interval time-series document (`timeline.json`); `None` when
-    /// sampling was off (counted perf runs, `MPICHGQ_TIMELINE_MS=off`).
-    /// `qtop` summarizes it.
+    /// sampling was off. `qtop` summarizes it.
     pub timeline_json: Option<String>,
 }
 
-/// Flight-recorder ring size the figure binaries use; the interesting
+impl<T> RunReport<T> {
+    /// The same report around a different output.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> RunReport<U> {
+        RunReport {
+            out: f(self.out),
+            events: self.events,
+            metrics_json: self.metrics_json,
+            trace_json: self.trace_json,
+            timeline_json: self.timeline_json,
+        }
+    }
+}
+
+/// Flight-recorder ring size the figure runs use; the interesting
 /// events (drops, CC transitions, reservation changes) are sparse, so a
 /// few thousand entries cover a whole figure run.
 pub const TRACE_CAPACITY: usize = 4096;
 
-/// Default figure-run sampling interval; overridable per run via the
-/// `MPICHGQ_TIMELINE_MS` environment variable.
+/// Default figure-run sampling interval.
 pub const TIMELINE_DEFAULT_MS: u64 = 100;
 
-/// Sampling interval the instrumented figure runs use: the
-/// `MPICHGQ_TIMELINE_MS` value in milliseconds, `None` for `0`/`off`
-/// (sampling disabled), and [`TIMELINE_DEFAULT_MS`] when unset or
-/// unparseable.
-pub fn env_timeline_interval() -> Option<SimDelta> {
-    match std::env::var("MPICHGQ_TIMELINE_MS") {
-        Err(_) => Some(SimDelta::from_millis(TIMELINE_DEFAULT_MS)),
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "0" || v == "off" {
-                None
-            } else {
-                Some(SimDelta::from_millis(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&ms| ms > 0)
-                        .unwrap_or(TIMELINE_DEFAULT_MS),
-                ))
-            }
-        }
+/// Turn on the instrumentation `opts` asks for.
+fn arm(net: &mut Net, opts: &RunOpts) {
+    if opts.trace_capacity > 0 {
+        net.obs.enable_trace(opts.trace_capacity);
+        net.enable_packet_tracing();
+    }
+    if let Some(interval) = opts.timeline {
+        net.enable_timeline(interval);
     }
 }
 
-fn arm_trace(lab: &mut GarnetLab, trace_capacity: usize) {
-    arm_trace_with(lab, trace_capacity, env_timeline_interval());
-}
-
-/// [`arm_trace`] with the sampling interval passed explicitly instead of
-/// read from the environment (`None` = sampling off). The
-/// no-perturbation tests use the `*_run_timeline` figure variants built
-/// on this to compare sampled and unsampled runs inside one process
-/// without touching `MPICHGQ_TIMELINE_MS`.
-fn arm_trace_with(lab: &mut GarnetLab, trace_capacity: usize, timeline: Option<SimDelta>) {
-    if trace_capacity > 0 {
-        lab.sim.net.obs.enable_trace(trace_capacity);
-        lab.sim.net.enable_packet_tracing();
-        // Counted perf variants pass capacity 0 and stay sampler-free; the
-        // no-perturbation tests prove the figures come out bit-identical
-        // either way.
-        if let Some(interval) = timeline {
-            lab.sim.net.enable_timeline(interval);
-        }
-    }
-}
-
-fn collect_metrics(lab: &mut GarnetLab) -> RunMetrics {
-    let at = lab.sim.net.now();
-    lab.sim.net.timeline_finalize(&mut lab.sim.stack, at);
-    RunMetrics {
-        events: lab.sim.net.events_processed(),
-        metrics_json: lab.sim.net.metrics_json(),
-        trace_json: lab.sim.net.chrome_trace_json(),
-        timeline_json: lab.sim.net.timeline_json(),
+/// Finalize the timeline and snapshot every artifact of a finished run.
+fn collect(sim: &mut Sim) -> RunReport<()> {
+    let at = sim.net.now();
+    sim.net.timeline_finalize(&mut sim.stack, at);
+    RunReport {
+        out: (),
+        events: sim.net.events_processed(),
+        metrics_json: sim.net.metrics_json(),
+        trace_json: sim.net.chrome_trace_json(),
+        timeline_json: sim.net.timeline_json(),
     }
 }
 
@@ -112,6 +122,14 @@ fn collect_metrics(lab: &mut GarnetLab) -> RunMetrics {
 /// comfortably below the delay a full best-effort trunk queue inflicts
 /// (so SLO misses track loss of QoS, not noise).
 pub const PREMIUM_DEADLINE: SimDelta = SimDelta::from_millis(10);
+
+/// Give `spec`'s packets the [`PREMIUM_DEADLINE`] on traced runs, where
+/// the lifecycle tracer's SLO layer scores it.
+fn arm_deadline(net: &mut Net, opts: &RunOpts, spec: FlowSpec) {
+    if opts.trace_capacity > 0 {
+        net.set_deadline_matching(spec, PREMIUM_DEADLINE);
+    }
+}
 
 /// TCP tuning of the paper's era: the premium end systems were Solaris
 /// Ultras with coarse retransmission timers (minimum RTO around half a
@@ -142,6 +160,84 @@ pub fn sweep_agent_cfg() -> QosAgentCfg {
     }
 }
 
+/// Socket buffers sized for the 35–50 Mb/s premium flows (the paper's
+/// §5.5 lesson about buffer sizing).
+fn big_buf_tcp() -> TcpCfg {
+    TcpCfg {
+        send_buf: 512 * 1024,
+        recv_buf: 512 * 1024,
+        ..TcpCfg::default()
+    }
+}
+
+/// A premium reservation for all `proto` traffic from `src` to `dst`,
+/// policed by dropping at the edge with the normal bucket depth.
+fn premium(src: NodeId, dst: NodeId, proto: Proto, rate_bps: u64) -> NetworkRequest {
+    NetworkRequest {
+        src,
+        dst,
+        proto,
+        src_port: None,
+        dst_port: None,
+        rate_bps,
+        depth: DepthRule::Normal,
+        action: PolicingAction::Drop,
+        shape_at_source: false,
+    }
+}
+
+/// Reserve `req` starting now; every experiment sizes its requests to be
+/// admitted.
+fn reserve_now(g: &mut Gara, net: &mut Net, req: NetworkRequest) -> ResvId {
+    g.reserve(net, Request::Network(req), StartSpec::Now, None)
+        .expect("reservation admitted")
+}
+
+/// The visualization sender of Figures 8/9 and chaos: `target_mbps` at
+/// `fps` frames/s, spending `work_fraction` of each frame interval
+/// rendering, from 200 ms to `end`.
+fn viz_cfg(target_mbps: f64, fps: f64, work_fraction: f64, end: SimTime) -> VizCfg {
+    VizCfg {
+        frame_bytes: (target_mbps * 1e6 / 8.0 / fps).round() as u32,
+        fps,
+        work_per_frame: SimDelta::from_secs_f64((1.0 / fps) * work_fraction),
+        start: SimTime::from_millis(200),
+        end,
+    }
+}
+
+/// Script CPU contention at the viz sender `host`: a hog from `hog_at`,
+/// then a DSRT reservation of `fraction` of the CPU for the sender's
+/// process at `resv_at`.
+fn script_cpu(
+    sched: &mut Scheduler,
+    host: NodeId,
+    proc_out: Rc<RefCell<Option<ProcId>>>,
+    hog_at: SimTime,
+    resv_at: SimTime,
+    fraction: f64,
+) {
+    sched.at(hog_at, move |net, _stack| {
+        net.cpu_spawn_hog(host);
+    });
+    sched.at(resv_at, move |net, stack| {
+        let proc = proc_out.borrow().expect("viz sender started");
+        with_gara(stack, net, |g, net| {
+            g.reserve(
+                net,
+                Request::Cpu(CpuRequest {
+                    host,
+                    proc,
+                    fraction,
+                }),
+                StartSpec::Now,
+                None,
+            )
+            .expect("CPU reservation admitted")
+        });
+    });
+}
+
 // ---------------------------------------------------------------------
 // Figure 1 — raw TCP with an undersized reservation: the sawtooth
 // ---------------------------------------------------------------------
@@ -153,9 +249,6 @@ pub struct Fig1Cfg {
     /// Premium reservation (paper: 40 Mb/s, "somewhat too low").
     pub reservation_bps: u64,
     pub duration: SimTime,
-    /// Event-scheduler backend (results are identical either way; the
-    /// choice only affects wall-clock speed).
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for Fig1Cfg {
@@ -164,7 +257,6 @@ impl Default for Fig1Cfg {
             app_rate_bps: 50_000_000,
             reservation_bps: 40_000_000,
             duration: SimTime::from_secs(100),
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -172,67 +264,38 @@ impl Default for Fig1Cfg {
 /// Run Figure 1: a plain TCP flow paced at `app_rate_bps` under heavy
 /// contention, with a premium reservation of `reservation_bps`. Returns
 /// the receiver's 1-second bandwidth trace (Kb/s).
-pub fn fig1_tcp_sawtooth(cfg: Fig1Cfg) -> TimeSeries {
-    fig1_tcp_sawtooth_counted(cfg).0
+pub fn fig1(cfg: Fig1Cfg, opts: &RunOpts) -> RunReport<TimeSeries> {
+    paced_tcp(GarnetCfg::default(), cfg, false, opts).0
 }
 
-/// [`fig1_tcp_sawtooth`] plus the engine's processed-event count, for the
-/// events-per-second benchmark and the scheduler determinism test.
-pub fn fig1_tcp_sawtooth_counted(cfg: Fig1Cfg) -> (TimeSeries, u64) {
-    let (series, m) = fig1_tcp_sawtooth_run(cfg, 0);
-    (series, m.events)
-}
-
-/// [`fig1_tcp_sawtooth`] with full observability: a non-zero
-/// `trace_capacity` arms the flight recorder, and the returned
-/// [`RunMetrics`] carries the registry + trace snapshot.
-pub fn fig1_tcp_sawtooth_run(cfg: Fig1Cfg, trace_capacity: usize) -> (TimeSeries, RunMetrics) {
-    fig1_tcp_sawtooth_run_timeline(cfg, trace_capacity, env_timeline_interval())
-}
-
-/// [`fig1_tcp_sawtooth_run`] with the sampling interval passed explicitly
-/// (`None` = sampling off) instead of read from `MPICHGQ_TIMELINE_MS`.
-pub fn fig1_tcp_sawtooth_run_timeline(
+/// The Figure 1 workload on `garnet`: TCP paced above its premium
+/// reservation under full best-effort contention. `deadline` arms the premium
+/// delivery deadline on traced runs. Returns the receiver's 1-second
+/// bandwidth trace (Kb/s) and the finished lab, for callers that score
+/// the run from its counters.
+fn paced_tcp(
+    garnet: GarnetCfg,
     cfg: Fig1Cfg,
-    trace_capacity: usize,
-    timeline: Option<SimDelta>,
-) -> (TimeSeries, RunMetrics) {
-    let garnet = GarnetCfg {
-        scheduler: cfg.scheduler,
-        ..GarnetCfg::default()
-    };
+    deadline: bool,
+    opts: &RunOpts,
+) -> (RunReport<TimeSeries>, GarnetLab) {
     let mut lab = GarnetLab::new(garnet, 0.7);
-    arm_trace_with(&mut lab, trace_capacity, timeline);
+    arm(&mut lab.sim.net, opts);
     lab.add_contention(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
-
     // Reserve for the flow (both host-pair directions matter only for the
     // data path; ACKs ride best-effort as in the paper's testbed).
     lab.with_gara(|g, net| {
-        g.reserve(
-            net,
-            Request::Network(NetworkRequest {
-                src: psrc,
-                dst: pdst,
-                proto: Proto::Tcp,
-                src_port: None,
-                dst_port: None,
-                rate_bps: cfg.reservation_bps,
-                depth: DepthRule::Normal,
-                action: PolicingAction::Drop,
-                shape_at_source: false,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .expect("figure-1 reservation admitted");
+        reserve_now(g, net, premium(psrc, pdst, Proto::Tcp, cfg.reservation_bps))
     });
-
-    let tcp = TcpCfg {
-        send_buf: 512 * 1024,
-        recv_buf: 512 * 1024,
-        ..TcpCfg::default()
-    };
+    if deadline {
+        arm_deadline(
+            &mut lab.sim.net,
+            opts,
+            FlowSpec::host_pair(psrc, pdst, Proto::Tcp),
+        );
+    }
+    let tcp = big_buf_tcp();
     let (rx, meter) = MeteredTcpReceiver::new(6000, tcp, SimDelta::from_secs(1));
     lab.sim.spawn_app(pdst, Box::new(rx));
     lab.sim.spawn_app(
@@ -240,11 +303,11 @@ pub fn fig1_tcp_sawtooth_run_timeline(
         Box::new(PacedTcpSender::new(pdst, 6000, cfg.app_rate_bps, tcp)),
     );
     lab.run_until(cfg.duration);
-    let metrics = collect_metrics(&mut lab);
-    let m = std::rc::Rc::try_unwrap(meter)
+    let report = collect(&mut lab.sim);
+    let m = Rc::try_unwrap(meter)
         .map(|c| c.into_inner())
         .unwrap_or_else(|rc| rc.borrow().clone());
-    (m.finish(cfg.duration), metrics)
+    (report.map(|()| m.finish(cfg.duration)), lab)
 }
 
 // ---------------------------------------------------------------------
@@ -257,8 +320,6 @@ pub struct Fig5Cfg {
     pub reservation_kbps: f64,
     pub duration: SimTime,
     pub warmup: SimTime,
-    /// Event-scheduler backend (identical results; wall-clock only).
-    pub scheduler: SchedulerKind,
 }
 
 impl Fig5Cfg {
@@ -268,67 +329,23 @@ impl Fig5Cfg {
             reservation_kbps,
             duration: SimTime::from_secs(20),
             warmup: SimTime::from_secs(5),
-            scheduler: SchedulerKind::default(),
         }
-    }
-}
-
-/// GARNET with the wide-area extension delay used for the ping-pong
-/// experiment (round-trip in the paper's ~15 ms regime, putting the
-/// Figure 5 knees in the paper's 0–12 Mb/s reservation range).
-pub fn fig5_garnet() -> GarnetCfg {
-    GarnetCfg {
-        core_delay: SimDelta::from_millis(3),
-        ..GarnetCfg::default()
     }
 }
 
 /// One Figure 5 point: one-way ping-pong throughput (Kb/s) for a message
 /// size and reservation, with contention on both trunk directions.
 /// `reservation_kbps == 0` means no reservation.
-pub fn fig5_pingpong_point(cfg: Fig5Cfg) -> f64 {
-    fig5_pingpong_point_counted(cfg).0
-}
-
-/// [`fig5_pingpong_point`] plus the engine's processed-event count.
-pub fn fig5_pingpong_point_counted(cfg: Fig5Cfg) -> (f64, u64) {
-    let (kbps, m) = fig5_pingpong_point_run(cfg, 0);
-    (kbps, m.events)
-}
-
-/// [`fig5_pingpong_point`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig5_pingpong_point_run(cfg: Fig5Cfg, trace_capacity: usize) -> (f64, RunMetrics) {
-    fig5_pingpong_point_inner(cfg, trace_capacity, false)
-}
-
-/// [`fig5_pingpong_point_counted`] with the flight recorder and the
-/// timeline sampler unconditionally armed (trace at [`TRACE_CAPACITY`],
-/// sampling at [`TIMELINE_DEFAULT_MS`], ignoring `MPICHGQ_TIMELINE_MS`).
-/// `bench_engine` uses this for its labeled, non-gated
-/// instrumentation-overhead entry, so the measured cost never depends on
-/// the caller's environment.
-pub fn fig5_pingpong_point_sampled_counted(cfg: Fig5Cfg) -> (f64, u64) {
-    let (kbps, m) = fig5_pingpong_point_inner(cfg, TRACE_CAPACITY, true);
-    (kbps, m.events)
-}
-
-fn fig5_pingpong_point_inner(
-    cfg: Fig5Cfg,
-    trace_capacity: usize,
-    force_timeline: bool,
-) -> (f64, RunMetrics) {
+pub fn fig5(cfg: Fig5Cfg, opts: &RunOpts) -> RunReport<f64> {
+    // GARNET with the wide-area extension delay: round-trip in the
+    // paper's ~15 ms regime, putting the knees in the paper's 0–12 Mb/s
+    // reservation range.
     let garnet = GarnetCfg {
-        scheduler: cfg.scheduler,
-        ..fig5_garnet()
+        core_delay: SimDelta::from_millis(3),
+        ..GarnetCfg::default()
     };
     let mut lab = GarnetLab::new(garnet, 0.7);
-    let timeline = if force_timeline {
-        Some(SimDelta::from_millis(TIMELINE_DEFAULT_MS))
-    } else {
-        env_timeline_interval()
-    };
-    arm_trace_with(&mut lab, trace_capacity, timeline);
+    arm(&mut lab.sim.net, opts);
     lab.add_contention(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
     lab.add_contention_reverse(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
 
@@ -348,9 +365,9 @@ fn fig5_pingpong_point_inner(
         .cfg(era_mpi())
         .launch(&mut lab.sim);
     lab.run_until(cfg.duration);
-    let metrics = collect_metrics(&mut lab);
-    let r = result.borrow();
-    (r.one_way_kbps(), metrics)
+    let report = collect(&mut lab.sim);
+    let kbps = result.borrow().one_way_kbps();
+    report.map(|()| kbps)
 }
 
 /// The full Figure 5 sweep: message sizes in kilobits (paper: 8, 40, 80,
@@ -366,7 +383,7 @@ pub fn fig5_sweep(
             cfg.duration = SimTime::from_secs(8);
             cfg.warmup = SimTime::from_secs(3);
         }
-        fig5_pingpong_point(cfg)
+        fig5(cfg, &RunOpts::OFF).out
     })
 }
 
@@ -413,34 +430,20 @@ impl Fig6Cfg {
     }
 }
 
-/// One visualization run under contention; returns steady-state achieved
-/// bandwidth in Kb/s (mean of 1-s buckets over the second half).
-pub fn fig6_viz_point(cfg: Fig6Cfg) -> f64 {
-    viz_run_under_contention(cfg).achieved_kbps_steady
-}
-
 /// Fraction of the offered frames that were delivered by the end of the
 /// run — the sustained-throughput criterion for Table 1 (delivery that
 /// merely accumulates latency does not count as achieving the rate).
 pub fn viz_delivery_ratio(cfg: Fig6Cfg) -> f64 {
     let offered = (cfg.fps * (cfg.duration.as_secs_f64() - 0.5)).floor();
-    let run = viz_run_under_contention(cfg);
-    run.frames_received as f64 / offered
+    fig6(cfg, &RunOpts::OFF).out.frames_received as f64 / offered
 }
 
-/// Full visualization run; returns the whole bandwidth series too.
-pub fn viz_run_under_contention(cfg: Fig6Cfg) -> mpichgq_apps::VizRun {
-    viz_run_under_contention_run(cfg, 0).0
-}
-
-/// [`viz_run_under_contention`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn viz_run_under_contention_run(
-    cfg: Fig6Cfg,
-    trace_capacity: usize,
-) -> (mpichgq_apps::VizRun, RunMetrics) {
+/// One Figure 6 point: the visualization program under contention. The
+/// run's `achieved_kbps_steady` is the mean of 1-s buckets over the
+/// second half.
+pub fn fig6(cfg: Fig6Cfg, opts: &RunOpts) -> RunReport<VizRun> {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm(&mut lab.sim.net, opts);
     lab.add_contention(cfg.contention_bps, SimTime::ZERO, cfg.duration);
 
     let agent_cfg = QosAgentCfg {
@@ -481,20 +484,9 @@ pub fn viz_run_under_contention_run(
         .cfg(mpi_cfg)
         .launch(&mut lab.sim);
     lab.run_until(cfg.duration);
-    if std::env::var("MPICHGQ_DEBUG").is_ok() {
-        eprintln!(
-            "DEBUG drops={:?} contention_delivered={} edge_rules={}",
-            lab.sim.net.drops,
-            lab.contention_delivered(),
-            lab.sim.net.node(lab.routers[0]).classifier.len()
-        );
-    }
-    let metrics = collect_metrics(&mut lab);
+    let report = collect(&mut lab.sim);
     let half = SimTime::from_nanos(cfg.duration.as_nanos() / 2);
-    (
-        finish_viz(meter, frames, cfg.duration, half, cfg.duration),
-        metrics,
-    )
+    report.map(|()| finish_viz(meter, frames, cfg.duration, half, cfg.duration))
 }
 
 /// The Figure 6 sweep: attempted rates via (frame size, 10 fps) as in the
@@ -509,7 +501,7 @@ pub fn fig6_sweep(
         if fast {
             cfg.duration = SimTime::from_secs(10);
         }
-        fig6_viz_point(cfg)
+        fig6(cfg, &RunOpts::OFF).out.achieved_kbps_steady
     })
 }
 
@@ -527,20 +519,26 @@ pub fn table1_min_reservation(
     fast: bool,
 ) -> f64 {
     let frame_bytes = (target_kbps * 1000.0 / 8.0 / fps).round() as u32;
-    let achieves = |resv_kbps: f64| -> bool {
+    min_reservation(target_kbps, 3.0, |resv_kbps| {
         let mut cfg = Fig6Cfg::new(frame_bytes, fps, resv_kbps);
         cfg.depth_rule = depth_rule;
-        cfg.duration = if fast {
-            SimTime::from_secs(30)
-        } else {
-            SimTime::from_secs(60)
-        };
+        cfg.duration = SimTime::from_secs(if fast { 30 } else { 60 });
         viz_delivery_ratio(cfg) >= fraction
-    };
-    // Bracket from below (a policer at half the target cannot pass 95% of
-    // it) and expand upward until the target is achievable.
+    })
+}
+
+/// The smallest reservation (Kb/s) at which `achieves` holds, to ~2%
+/// resolution. The bracket starts at `[target/2, target × hi_mult]` (a
+/// policer at half the target cannot pass 95% of it) and widens upward
+/// by 1.5× until the target is achievable; past 10× the target the
+/// answer is `∞`.
+pub(crate) fn min_reservation(
+    target_kbps: f64,
+    hi_mult: f64,
+    achieves: impl Fn(f64) -> bool,
+) -> f64 {
     let mut lo = target_kbps * 0.5;
-    let mut hi = target_kbps * 3.0;
+    let mut hi = target_kbps * hi_mult;
     if achieves(lo) {
         return lo;
     }
@@ -550,7 +548,6 @@ pub fn table1_min_reservation(
             return f64::INFINITY;
         }
     }
-    // Bisect to ~2% resolution.
     while hi / lo > 1.02 {
         let mid = (lo * hi).sqrt();
         if achieves(mid) {
@@ -608,32 +605,11 @@ pub fn table1(targets_kbps: &[f64], fraction: f64, fast: bool) -> Vec<Table1Row>
 /// Trace `(t, seq)` of the viz flow's data segments over `window` seconds,
 /// for the given frame rate at a fixed 400 Kb/s application rate with an
 /// adequate reservation (no contention; the paper isolates burstiness).
-pub fn fig7_seq_trace(fps: f64, window: SimTime) -> TimeSeries {
-    fig7_seq_trace_run(fps, window, 0).0
-}
-
-/// [`fig7_seq_trace`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig7_seq_trace_run(
-    fps: f64,
-    window: SimTime,
-    trace_capacity: usize,
-) -> (TimeSeries, RunMetrics) {
-    fig7_seq_trace_run_timeline(fps, window, trace_capacity, env_timeline_interval())
-}
-
-/// [`fig7_seq_trace_run`] with the sampling interval passed explicitly
-/// (`None` = sampling off) instead of read from `MPICHGQ_TIMELINE_MS`.
-pub fn fig7_seq_trace_run_timeline(
-    fps: f64,
-    window: SimTime,
-    trace_capacity: usize,
-    timeline: Option<SimDelta>,
-) -> (TimeSeries, RunMetrics) {
+pub fn fig7(fps: f64, window: SimTime, opts: &RunOpts) -> RunReport<TimeSeries> {
     let target_kbps = 400.0;
     let frame_bytes = (target_kbps * 1000.0 / 8.0 / fps).round() as u32;
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace_with(&mut lab, trace_capacity, timeline);
+    arm(&mut lab.sim.net, opts);
     let (builder, env) = enable_qos(JobBuilder::new(), QosAgentCfg::default());
     let qos = Some((env, QosAttribute::premium(800.0, frame_bytes)));
     let end = window + SimDelta::from_secs(1);
@@ -644,42 +620,30 @@ pub fn fig7_seq_trace_run_timeline(
         start: SimTime::from_millis(100),
         end,
     };
-    let (tx, _stats, _proc) = VizSender::new(vcfg, qos);
+    let (mut tx, _stats, _proc) = VizSender::new(vcfg, qos);
     let (rx, _meter, _frames) = VizReceiver::new(SimDelta::from_secs(1), end);
     // Trace the sender's connection to rank 1 once it exists: do it from
-    // inside the sender by wrapping the program.
-    struct Traced {
-        inner: VizSender,
-        traced: bool,
-        /// Delivery deadline for the data flow (instrumented runs only).
-        deadline: Option<SimDelta>,
-    }
-    impl mpichgq_mpi::MpiProgram for Traced {
-        fn poll(&mut self, mpi: &mut mpichgq_mpi::Mpi) -> mpichgq_mpi::Poll {
-            if !self.traced {
-                self.traced = true;
-                mpi.trace_peer_connection(1, "fig7.seq");
-                if let Some(dl) = self.deadline {
-                    mpi.set_peer_deadline(1, dl);
-                }
+    // inside the sender by wrapping the program. Instrumented runs also
+    // arm the data flow's delivery deadline.
+    let deadline = (opts.trace_capacity > 0).then_some(PREMIUM_DEADLINE);
+    let mut traced = false;
+    let sender = move |mpi: &mut Mpi| {
+        if !traced {
+            traced = true;
+            mpi.trace_peer_connection(1, "fig7.seq");
+            if let Some(dl) = deadline {
+                mpi.set_peer_deadline(1, dl);
             }
-            self.inner.poll(mpi)
         }
-    }
+        tx.poll(mpi)
+    };
     let _job = builder
-        .rank(
-            lab.premium_src,
-            Box::new(Traced {
-                inner: tx,
-                traced: false,
-                deadline: (trace_capacity > 0).then_some(PREMIUM_DEADLINE),
-            }),
-        )
+        .rank(lab.premium_src, Box::new(sender))
         .rank(lab.premium_dst, Box::new(rx))
         .cfg(era_mpi())
         .launch(&mut lab.sim);
     lab.run_until(end);
-    let metrics = collect_metrics(&mut lab);
+    let report = collect(&mut lab.sim);
     // The paper's Figure 7 shows exactly one second of steady state, with
     // sequence numbers rebased to the window: trim and rebase the raw trace.
     let raw = lab.sim.net.recorder.series("fig7.seq");
@@ -697,7 +661,7 @@ pub fn fig7_seq_trace_run_timeline(
             out.push(t - SimDelta::from_nanos(w_start.as_nanos()), v - base);
         }
     }
-    (out, metrics)
+    report.map(|()| out)
 }
 
 // ---------------------------------------------------------------------
@@ -732,67 +696,36 @@ impl Default for Fig8Cfg {
 
 /// Figure 8: visualization bandwidth trace with CPU contention starting at
 /// `hog_at` and a DSRT reservation at `cpu_reservation_at`.
-pub fn fig8_cpu_reservation(cfg: Fig8Cfg) -> TimeSeries {
-    fig8_cpu_reservation_run(cfg, 0).0
-}
-
-/// [`fig8_cpu_reservation`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig8_cpu_reservation_run(cfg: Fig8Cfg, trace_capacity: usize) -> (TimeSeries, RunMetrics) {
+pub fn fig8(cfg: Fig8Cfg, opts: &RunOpts) -> RunReport<TimeSeries> {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
-    let frame_bytes = (cfg.target_mbps * 1e6 / 8.0 / cfg.fps).round() as u32;
-    let interval = 1.0 / cfg.fps;
-    let vcfg = VizCfg {
-        frame_bytes,
-        fps: cfg.fps,
-        work_per_frame: SimDelta::from_secs_f64(interval * cfg.work_fraction),
-        start: SimTime::from_millis(200),
-        end: cfg.duration,
-    };
+    arm(&mut lab.sim.net, opts);
+    let vcfg = viz_cfg(cfg.target_mbps, cfg.fps, cfg.work_fraction, cfg.duration);
     let (builder, _env) = enable_qos(JobBuilder::new(), QosAgentCfg::default());
     let (tx, _stats, proc_out) = VizSender::new(vcfg, None);
     let (rx, meter, frames) = VizReceiver::new(SimDelta::from_secs(1), cfg.duration);
     let psrc = lab.premium_src;
-    if trace_capacity > 0 {
-        let spec = FlowSpec::host_pair(psrc, lab.premium_dst, Proto::Tcp);
-        lab.sim.net.set_deadline_matching(spec, PREMIUM_DEADLINE);
-    }
+    let spec = FlowSpec::host_pair(psrc, lab.premium_dst, Proto::Tcp);
+    arm_deadline(&mut lab.sim.net, opts, spec);
     let _job = builder
         .rank(lab.premium_src, Box::new(tx))
         .rank(lab.premium_dst, Box::new(rx))
         .launch(&mut lab.sim);
 
     let mut sched = Scheduler::new();
-    sched.at(cfg.hog_at, move |net, _stack| {
-        net.cpu_spawn_hog(psrc);
-    });
-    let proc2 = proc_out.clone();
-    let cpu_frac = cfg.cpu_fraction;
-    sched.at(cfg.cpu_reservation_at, move |net, stack| {
-        let proc = proc2.borrow().expect("viz sender started");
-        let mut gara = stack.take_service::<mpichgq_gara::Gara>().unwrap();
-        gara.reserve(
-            net,
-            Request::Cpu(CpuRequest {
-                host: psrc,
-                proc,
-                fraction: cpu_frac,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .expect("CPU reservation admitted");
-        stack.put_service_box(gara);
-    });
+    let (hog_at, resv_at) = (cfg.hog_at, cfg.cpu_reservation_at);
+    script_cpu(
+        &mut sched,
+        psrc,
+        proc_out,
+        hog_at,
+        resv_at,
+        cfg.cpu_fraction,
+    );
     sched.install(&mut lab.sim);
 
     lab.run_until(cfg.duration);
-    let metrics = collect_metrics(&mut lab);
-    (
-        finish_viz(meter, frames, cfg.duration, SimTime::ZERO, cfg.duration).series,
-        metrics,
-    )
+    let report = collect(&mut lab.sim);
+    report.map(|()| finish_viz(meter, frames, cfg.duration, SimTime::ZERO, cfg.duration).series)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -832,34 +765,13 @@ impl Default for Fig9Cfg {
 
 /// Figure 9: the combined scenario — network congestion, then a network
 /// reservation, then CPU contention, then a CPU reservation.
-pub fn fig9_combined(cfg: Fig9Cfg) -> TimeSeries {
-    fig9_combined_run(cfg, 0).0
-}
-
-/// [`fig9_combined`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig9_combined_run(cfg: Fig9Cfg, trace_capacity: usize) -> (TimeSeries, RunMetrics) {
+pub fn fig9(cfg: Fig9Cfg, opts: &RunOpts) -> RunReport<TimeSeries> {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm(&mut lab.sim.net, opts);
     lab.add_contention(cfg.contention_bps, cfg.congestion_at, cfg.duration);
-    let frame_bytes = (cfg.target_mbps * 1e6 / 8.0 / cfg.fps).round() as u32;
-    let interval = 1.0 / cfg.fps;
-    let vcfg = VizCfg {
-        frame_bytes,
-        fps: cfg.fps,
-        work_per_frame: SimDelta::from_secs_f64(interval * cfg.work_fraction),
-        start: SimTime::from_millis(200),
-        end: cfg.duration,
-    };
-    // 35 Mb/s with blocking frame sends needs era-appropriately tuned
-    // socket buffers (the paper's §5.5 lesson about buffer sizing).
-    let tcp = TcpCfg {
-        send_buf: 512 * 1024,
-        recv_buf: 512 * 1024,
-        ..TcpCfg::default()
-    };
+    let vcfg = viz_cfg(cfg.target_mbps, cfg.fps, cfg.work_fraction, cfg.duration);
     let mpi_cfg = mpichgq_mpi::MpiCfg {
-        tcp,
+        tcp: big_buf_tcp(),
         ..Default::default()
     };
     let (builder, _env) = enable_qos(JobBuilder::new(), QosAgentCfg::default());
@@ -876,61 +788,30 @@ pub fn fig9_combined_run(cfg: Fig9Cfg, trace_capacity: usize) -> (TimeSeries, Ru
     let mut sched = Scheduler::new();
     let net_rate = (cfg.target_mbps * 1e6 * 1.1) as u64;
     sched.at(cfg.net_reservation_at, move |net, stack| {
-        let mut gara = stack.take_service::<mpichgq_gara::Gara>().unwrap();
-        gara.reserve(
-            net,
-            Request::Network(NetworkRequest {
-                src: psrc,
-                dst: pdst,
-                proto: Proto::Tcp,
-                src_port: None,
-                dst_port: None,
-                rate_bps: net_rate,
-                depth: DepthRule::Normal,
-                action: PolicingAction::Drop,
-                shape_at_source: false,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .expect("network reservation admitted");
-        stack.put_service_box(gara);
+        with_gara(stack, net, |g, net| {
+            reserve_now(g, net, premium(psrc, pdst, Proto::Tcp, net_rate))
+        });
     });
-    sched.at(cfg.hog_at, move |net, _stack| {
-        net.cpu_spawn_hog(psrc);
-    });
-    let proc2 = proc_out.clone();
-    let cpu_frac = cfg.cpu_fraction;
-    sched.at(cfg.cpu_reservation_at, move |net, stack| {
-        let proc = proc2.borrow().expect("viz sender started");
-        let mut gara = stack.take_service::<mpichgq_gara::Gara>().unwrap();
-        gara.reserve(
-            net,
-            Request::Cpu(CpuRequest {
-                host: psrc,
-                proc,
-                fraction: cpu_frac,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .expect("CPU reservation admitted");
-        stack.put_service_box(gara);
-    });
+    let (hog_at, resv_at) = (cfg.hog_at, cfg.cpu_reservation_at);
+    script_cpu(
+        &mut sched,
+        psrc,
+        proc_out,
+        hog_at,
+        resv_at,
+        cfg.cpu_fraction,
+    );
     sched.install(&mut lab.sim);
 
     lab.run_until(cfg.duration);
-    let metrics = collect_metrics(&mut lab);
-    (
-        finish_viz(meter, frames, cfg.duration, SimTime::ZERO, cfg.duration).series,
-        metrics,
-    )
+    let report = collect(&mut lab.sim);
+    report.map(|()| finish_viz(meter, frames, cfg.duration, SimTime::ZERO, cfg.duration).series)
 }
 
 /// Mean of a series over `[from, to)` seconds — phase summaries for the
 /// Figure 8/9 timelines.
 pub fn phase_mean(series: &TimeSeries, from: f64, to: f64) -> f64 {
-    series.mean_in(secs(from), secs(to))
+    series.mean_in(SimTime::from_secs_f64(from), SimTime::from_secs_f64(to))
 }
 
 // ---------------------------------------------------------------------
@@ -983,7 +864,6 @@ pub struct ChaosCfg {
     pub duration: SimTime,
     /// Seed of the fault layer's private RNG (loss/corruption draws).
     pub seed: u64,
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for ChaosCfg {
@@ -1008,7 +888,6 @@ impl Default for ChaosCfg {
             clear_at: SimTime::from_secs(21),
             duration: SimTime::from_secs(28),
             seed: 7,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -1059,10 +938,12 @@ impl ChaosCfg {
     }
 }
 
-/// What the adaptation loop did during a chaos run, read back from the
+/// What a chaos run delivered — the receiver's 1-second bandwidth series
+/// (Kb/s) — and what the adaptation loop did, read back from the
 /// `agent.*`/`gara.*` counters plus the fault layer's own accounting.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ChaosOutcome {
+    pub series: TimeSeries,
     pub final_state: AdaptState,
     pub requests: u64,
     pub rejects: u64,
@@ -1080,63 +961,36 @@ pub struct ChaosOutcome {
 /// competitive pair's path (shared trunks) without touching any real
 /// traffic — the flow spec is pinned to the discard port, which nothing
 /// sends to, so the installed classifier rule never matches a packet.
-fn squat_request(src: NodeId, dst: NodeId, rate_bps: u64) -> Request {
-    Request::Network(NetworkRequest {
-        src,
-        dst,
-        proto: Proto::Udp,
-        src_port: None,
+fn squat_request(src: NodeId, dst: NodeId, rate_bps: u64) -> NetworkRequest {
+    NetworkRequest {
         dst_port: Some(9),
-        rate_bps,
-        depth: DepthRule::Normal,
-        action: PolicingAction::Drop,
-        shape_at_source: false,
-    })
+        ..premium(src, dst, Proto::Udp, rate_bps)
+    }
 }
 
-/// Run the chaos experiment; returns the receiver's 1-second bandwidth
-/// series (Kb/s), the observability snapshot, and the adaptation summary.
-pub fn chaos_run(cfg: ChaosCfg, trace_capacity: usize) -> (TimeSeries, RunMetrics, ChaosOutcome) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let garnet = GarnetCfg {
-        scheduler: cfg.scheduler,
-        ..GarnetCfg::default()
-    };
-    let mut lab = GarnetLab::new(garnet, 0.7);
-    arm_trace(&mut lab, trace_capacity);
+/// Run the chaos experiment.
+pub fn chaos(cfg: ChaosCfg, opts: &RunOpts) -> RunReport<ChaosOutcome> {
+    let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
+    arm(&mut lab.sim.net, opts);
     lab.add_contention(cfg.contention_bps, cfg.contention_at, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
     let (csrc, cdst) = (lab.competitive_src, lab.competitive_dst);
 
     // The Figure-9 visualization workload (no QoS attribute: the adaptive
     // flow below owns the premium reservation for the host pair).
-    let frame_bytes = (cfg.target_mbps * 1e6 / 8.0 / cfg.fps).round() as u32;
-    let interval = 1.0 / cfg.fps;
-    let vcfg = VizCfg {
-        frame_bytes,
-        fps: cfg.fps,
-        work_per_frame: SimDelta::from_secs_f64(interval * cfg.work_fraction),
-        start: SimTime::from_millis(200),
-        end: cfg.duration,
-    };
-    let tcp = TcpCfg {
-        send_buf: 512 * 1024,
-        recv_buf: 512 * 1024,
-        ..TcpCfg::default()
-    };
+    let vcfg = viz_cfg(cfg.target_mbps, cfg.fps, cfg.work_fraction, cfg.duration);
     let mpi_cfg = mpichgq_mpi::MpiCfg {
-        tcp,
+        tcp: big_buf_tcp(),
         ..Default::default()
     };
     let (builder, _env) = enable_qos(JobBuilder::new(), QosAgentCfg::default());
     let (tx, _stats, _proc) = VizSender::new(vcfg, None);
     let (rx, meter, frames) = VizReceiver::new(SimDelta::from_secs(1), cfg.duration);
-    if trace_capacity > 0 {
-        let spec = FlowSpec::host_pair(psrc, pdst, Proto::Tcp);
-        lab.sim.net.set_deadline_matching(spec, PREMIUM_DEADLINE);
-    }
+    arm_deadline(
+        &mut lab.sim.net,
+        opts,
+        FlowSpec::host_pair(psrc, pdst, Proto::Tcp),
+    );
     let _job = builder
         .rank(psrc, Box::new(tx))
         .rank(pdst, Box::new(rx))
@@ -1172,17 +1026,7 @@ pub fn chaos_run(cfg: ChaosCfg, trace_capacity: usize) -> (TimeSeries, RunMetric
     let full_rate = (cfg.target_mbps * 1e6 * 1.1) as u64;
     let flow = AdaptiveFlow::install(
         &mut lab.sim,
-        NetworkRequest {
-            src: psrc,
-            dst: pdst,
-            proto: Proto::Tcp,
-            src_port: None,
-            dst_port: None,
-            rate_bps: full_rate,
-            depth: DepthRule::Normal,
-            action: PolicingAction::Drop,
-            shape_at_source: false,
-        },
+        premium(psrc, pdst, Proto::Tcp, full_rate),
         cfg.first_request_at,
         AdaptPolicy {
             min_rate_bps: full_rate / 5,
@@ -1190,66 +1034,51 @@ pub fn chaos_run(cfg: ChaosCfg, trace_capacity: usize) -> (TimeSeries, RunMetric
         },
     );
 
-    let squatters: Rc<RefCell<Vec<mpichgq_gara::ResvId>>> = Rc::new(RefCell::new(Vec::new()));
+    let squatters: Rc<RefCell<Vec<ResvId>>> = Rc::new(RefCell::new(Vec::new()));
     let mut sched = Scheduler::new();
-    // First revocation: free the grant, then squat on everything except
-    // ~65% of the full rate — the renegotiation ladder's first rung
-    // (50%) fits, the full rate does not.
-    let flow2 = flow.clone();
-    let sq = squatters.clone();
-    sched.at(cfg.revoke_at, move |net, stack| {
-        let mut gara = stack.take_service::<mpichgq_gara::Gara>().unwrap();
-        if let Some(id) = flow2.current_resv() {
-            gara.revoke(net, id);
-        }
-        let avail = gara
-            .available_on_path(net, csrc, cdst, net.now(), SimTime::MAX)
-            .unwrap_or(0);
-        let leave = full_rate * 65 / 100;
-        let take = avail.saturating_sub(leave);
-        if take > 0 {
-            let id = gara
-                .reserve(net, squat_request(csrc, cdst, take), StartSpec::Now, None)
-                .expect("first squatter admitted");
-            sq.borrow_mut().push(id);
-        }
-        stack.put_service_box(gara);
-    });
-    // Second revocation: free the renegotiated grant, then squat on all
-    // remaining capacity — the whole ladder fails and the flow degrades.
-    let flow3 = flow.clone();
-    let sq = squatters.clone();
-    sched.at(cfg.second_revoke_at, move |net, stack| {
-        let mut gara = stack.take_service::<mpichgq_gara::Gara>().unwrap();
-        if let Some(id) = flow3.current_resv() {
-            gara.revoke(net, id);
-        }
-        let avail = gara
-            .available_on_path(net, csrc, cdst, net.now(), SimTime::MAX)
-            .unwrap_or(0);
-        if avail > 0 {
-            let id = gara
-                .reserve(net, squat_request(csrc, cdst, avail), StartSpec::Now, None)
-                .expect("second squatter admitted");
-            sq.borrow_mut().push(id);
-        }
-        stack.put_service_box(gara);
-    });
+    // Each revocation frees the current grant, then squats on all spare
+    // capacity but `leave`. First ~65% of the full rate is left: the
+    // renegotiation ladder's first rung (50%) fits, the full rate does
+    // not. Then nothing is left: the whole ladder fails and the flow
+    // degrades.
+    for (at, leave) in [
+        (cfg.revoke_at, full_rate * 65 / 100),
+        (cfg.second_revoke_at, 0),
+    ] {
+        let flow = flow.clone();
+        let sq = squatters.clone();
+        sched.at(at, move |net, stack| {
+            with_gara(stack, net, |g, net| {
+                if let Some(id) = flow.current_resv() {
+                    g.revoke(net, id);
+                }
+                let avail = g
+                    .available_on_path(net, csrc, cdst, net.now(), SimTime::MAX)
+                    .unwrap_or(0);
+                let take = avail.saturating_sub(leave);
+                if take > 0 {
+                    sq.borrow_mut()
+                        .push(reserve_now(g, net, squat_request(csrc, cdst, take)));
+                }
+            })
+        });
+    }
     // Clearance: the squatters leave; the agent's next probe recovers.
     let sq = squatters.clone();
     sched.at(cfg.clear_at, move |net, stack| {
-        let mut gara = stack.take_service::<mpichgq_gara::Gara>().unwrap();
-        for id in sq.borrow_mut().drain(..) {
-            gara.cancel(net, id);
-        }
-        stack.put_service_box(gara);
+        with_gara(stack, net, |g, net| {
+            for id in sq.borrow_mut().drain(..) {
+                g.cancel(net, id);
+            }
+        })
     });
     sched.install(&mut lab.sim);
 
     lab.run_until(cfg.duration);
-    let metrics = collect_metrics(&mut lab);
+    let report = collect(&mut lab.sim);
     let counter = |name: &str| lab.sim.net.obs.metrics.counter_value(name).unwrap_or(0);
     let outcome = ChaosOutcome {
+        series: finish_viz(meter, frames, cfg.duration, SimTime::ZERO, cfg.duration).series,
         final_state: flow.state(),
         requests: counter("agent.requests"),
         rejects: counter("agent.rejects"),
@@ -1262,11 +1091,7 @@ pub fn chaos_run(cfg: ChaosCfg, trace_capacity: usize) -> (TimeSeries, RunMetric
         recoveries: counter("agent.recoveries"),
         faults: lab.sim.net.fault_stats().unwrap_or_default(),
     };
-    (
-        finish_viz(meter, frames, cfg.duration, SimTime::ZERO, cfg.duration).series,
-        metrics,
-        outcome,
-    )
+    report.map(|()| outcome)
 }
 
 // ---------------------------------------------------------------------
@@ -1344,7 +1169,6 @@ pub struct AfConformanceOut {
     pub tail_drops: u64,
     pub red_early_drops: u64,
     pub early_af_drops: u64,
-    pub events: u64,
 }
 
 /// The WFQ/WRED trunk discipline the conformance experiment runs on.
@@ -1354,15 +1178,18 @@ pub struct AfConformanceOut {
 /// offered rates, so the WRED precedence ramp (not the scheduler alone)
 /// decides which AF packets survive. WRED runs on AF, plain RED on BE.
 pub fn af_conformance_queue() -> QueueCfg {
-    QueueCfg::Sched(
-        SchedCfg::wfq()
-            .af(ClassCfg::new(150_000)
-                .weight(2)
-                .wred(RedCfg::wred_ramp(30_000, 120_000)))
-            .be(ClassCfg::new(150_000)
-                .weight(6)
-                .red(RedCfg::new(30_000, 120_000))),
-    )
+    QueueCfg::Sched(red_classes(SchedCfg::wfq(), 2, 6))
+}
+
+/// `sc` with 150 KB AF and best-effort queues at the given weights: the
+/// WRED precedence ramp on AF, plain RED on best-effort.
+fn red_classes(sc: SchedCfg, af_weight: u32, be_weight: u32) -> SchedCfg {
+    sc.af(ClassCfg::new(150_000)
+        .weight(af_weight)
+        .wred(RedCfg::wred_ramp(30_000, 120_000)))
+        .be(ClassCfg::new(150_000)
+            .weight(be_weight)
+            .red(RedCfg::new(30_000, 120_000)))
 }
 
 /// Run the three-PHB conformance experiment. Expected shape under the
@@ -1370,40 +1197,23 @@ pub fn af_conformance_queue() -> QueueCfg {
 /// weight-protected), AF lands between its committed and offered rates
 /// (the in-profile fraction survives, the escalated excess takes the RED
 /// drops), best-effort absorbs the rest of the starvation.
-pub fn af_conformance_run(
-    cfg: AfConformanceCfg,
-    trace_capacity: usize,
-) -> (AfConformanceOut, RunMetrics) {
+pub fn af_conformance(cfg: AfConformanceCfg, opts: &RunOpts) -> RunReport<AfConformanceOut> {
     let garnet = GarnetCfg {
         core_queue: af_conformance_queue(),
         ..GarnetCfg::default()
     };
     let mut lab = GarnetLab::new(garnet, 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm(&mut lab.sim.net, opts);
     lab.add_contention(cfg.be_rate_bps, SimTime::ZERO, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
 
     // EF: a reserved UDP flow on the premium pair; the grant installs the
     // edge policer that marks it EF (all of it in profile).
-    lab.with_gara(|g, net| {
-        g.reserve(
-            net,
-            Request::Network(NetworkRequest {
-                src: psrc,
-                dst: pdst,
-                proto: Proto::Udp,
-                src_port: None,
-                dst_port: Some(6000),
-                rate_bps: cfg.ef_reservation_bps,
-                depth: DepthRule::Normal,
-                action: PolicingAction::Drop,
-                shape_at_source: false,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .expect("conformance EF reservation admitted");
-    });
+    let ef = NetworkRequest {
+        dst_port: Some(6000),
+        ..premium(psrc, pdst, Proto::Udp, cfg.ef_reservation_bps)
+    };
+    lab.with_gara(|g, net| reserve_now(g, net, ef));
 
     // AF: marked at the ingress edge router. In-profile traffic becomes
     // AF at the default (low) drop precedence; the excess is escalated by
@@ -1424,14 +1234,12 @@ pub fn af_conformance_run(
         PolicingAction::Remark,
     );
 
-    if trace_capacity > 0 {
-        let ef_spec = FlowSpec {
-            proto: Some(Proto::Udp),
-            dst_port: Some(6000),
-            ..FlowSpec::default()
-        };
-        lab.sim.net.set_deadline_matching(ef_spec, PREMIUM_DEADLINE);
-    }
+    let ef_spec = FlowSpec {
+        proto: Some(Proto::Udp),
+        dst_port: Some(6000),
+        ..FlowSpec::default()
+    };
+    arm_deadline(&mut lab.sim.net, opts, ef_spec);
 
     // Both marked flows ride the premium hosts' uncongested uplink so the
     // three classes contend at the trunk, where the discipline under test
@@ -1451,7 +1259,7 @@ pub fn af_conformance_run(
     );
 
     lab.run_until(cfg.duration);
-    let metrics = collect_metrics(&mut lab);
+    let report = collect(&mut lab.sim);
     let secs = cfg.duration.as_secs_f64();
     let bps = |bytes: u64| (bytes as f64 * 8.0 / secs) as u64;
     let counter = |name: &str| lab.sim.net.obs.metrics.counter_value(name).unwrap_or(0);
@@ -1479,46 +1287,13 @@ pub fn af_conformance_run(
         tail_drops: counter("net.drops.queue_full").saturating_sub(early),
         red_early_drops: counter("net.drops.red_early"),
         early_af_drops: counter("qdisc.early_drops.af"),
-        events: metrics.events,
     };
-    (out, metrics)
+    report.map(|()| out)
 }
 
 // ---------------------------------------------------------------------
 // Discipline ablation — scheduler × dropper matrix, scored by the SLO layer
 // ---------------------------------------------------------------------
-
-/// Configuration of one ablation cell's workload: the Figure-1 premium
-/// TCP flow (paced above an undersized reservation) under full contention,
-/// with the delivery deadline armed so the SLO layer scores the run.
-#[derive(Debug, Clone, Copy)]
-pub struct QdiscAblationCfg {
-    pub app_rate_bps: u64,
-    pub reservation_bps: u64,
-    pub contention_bps: u64,
-    pub duration: SimTime,
-}
-
-impl Default for QdiscAblationCfg {
-    fn default() -> Self {
-        QdiscAblationCfg {
-            app_rate_bps: 50_000_000,
-            reservation_bps: 40_000_000,
-            contention_bps: CONTENTION_BPS,
-            duration: SimTime::from_secs(20),
-        }
-    }
-}
-
-impl QdiscAblationCfg {
-    /// The compressed `--fast` CI variant.
-    pub fn fast() -> QdiscAblationCfg {
-        QdiscAblationCfg {
-            duration: SimTime::from_secs(5),
-            ..QdiscAblationCfg::default()
-        }
-    }
-}
 
 /// One cell of the scheduler × dropper matrix.
 #[derive(Debug, Clone, Copy)]
@@ -1531,7 +1306,6 @@ pub struct QdiscCell {
     pub slo_misses: u64,
     pub tail_drops: u64,
     pub red_early_drops: u64,
-    pub events: u64,
 }
 
 /// Human-readable labels for a cell's coordinates.
@@ -1548,115 +1322,62 @@ pub fn qdisc_cell_labels(sched: SchedKind, red: bool) -> (&'static str, &'static
 /// default 8/3/1 weights, and optionally RED on best-effort plus the WRED
 /// precedence ramp on AF.
 pub fn qdisc_cell_queue(sched: SchedKind, red: bool) -> QueueCfg {
-    let mut sc = match sched {
+    let sc = match sched {
         SchedKind::Sp => SchedCfg::sp(),
         SchedKind::Wfq => SchedCfg::wfq(),
         SchedKind::Drr => SchedCfg::drr(),
     };
-    if red {
-        sc = sc
-            .af(ClassCfg::new(150_000)
-                .weight(3)
-                .wred(RedCfg::wred_ramp(30_000, 120_000)))
-            .be(ClassCfg::new(150_000)
-                .weight(1)
-                .red(RedCfg::new(30_000, 120_000)));
-    }
-    QueueCfg::Sched(sc)
+    QueueCfg::Sched(if red { red_classes(sc, 3, 1) } else { sc })
 }
 
-/// Run one ablation cell. The workload is identical across the matrix;
-/// only `GarnetCfg::core_queue` varies, so differences in goodput and SLO
-/// misses are attributable to the discipline alone.
+/// Run one ablation cell: the Figure 1 workload with the premium
+/// delivery deadline armed, so the SLO layer scores the run. The workload
+/// is identical across the matrix; only `GarnetCfg::core_queue` varies,
+/// so differences in goodput and SLO misses are attributable to the
+/// discipline alone.
 pub fn qdisc_ablation_cell(
     sched: SchedKind,
     red: bool,
-    cfg: QdiscAblationCfg,
-    trace_capacity: usize,
-) -> (QdiscCell, RunMetrics) {
+    cfg: Fig1Cfg,
+    opts: &RunOpts,
+) -> RunReport<QdiscCell> {
     let garnet = GarnetCfg {
         core_queue: qdisc_cell_queue(sched, red),
         ..GarnetCfg::default()
     };
-    let mut lab = GarnetLab::new(garnet, 0.7);
-    arm_trace(&mut lab, trace_capacity);
-    lab.add_contention(cfg.contention_bps, SimTime::ZERO, cfg.duration);
-    let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
-    lab.with_gara(|g, net| {
-        g.reserve(
-            net,
-            Request::Network(NetworkRequest {
-                src: psrc,
-                dst: pdst,
-                proto: Proto::Tcp,
-                src_port: None,
-                dst_port: None,
-                rate_bps: cfg.reservation_bps,
-                depth: DepthRule::Normal,
-                action: PolicingAction::Drop,
-                shape_at_source: false,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .expect("ablation reservation admitted");
-    });
-    if trace_capacity > 0 {
-        lab.sim.net.set_deadline_matching(
-            FlowSpec::host_pair(psrc, pdst, Proto::Tcp),
-            PREMIUM_DEADLINE,
-        );
-    }
-    let tcp = TcpCfg {
-        send_buf: 512 * 1024,
-        recv_buf: 512 * 1024,
-        ..TcpCfg::default()
-    };
-    let (rx, meter) = MeteredTcpReceiver::new(6000, tcp, SimDelta::from_secs(1));
-    lab.sim.spawn_app(pdst, Box::new(rx));
-    lab.sim.spawn_app(
-        psrc,
-        Box::new(PacedTcpSender::new(pdst, 6000, cfg.app_rate_bps, tcp)),
-    );
-    lab.run_until(cfg.duration);
-    let metrics = collect_metrics(&mut lab);
+    let (report, lab) = paced_tcp(garnet, cfg, true, opts);
     let counter = |name: &str| lab.sim.net.obs.metrics.counter_value(name).unwrap_or(0);
-    let m = std::rc::Rc::try_unwrap(meter)
-        .map(|c| c.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
-    let series = m.finish(cfg.duration);
     let half = cfg.duration.as_secs_f64() / 2.0;
+    let premium_kbps = phase_mean(&report.out, half, cfg.duration.as_secs_f64());
     let cell = QdiscCell {
         sched,
         red,
-        premium_kbps: phase_mean(&series, half, cfg.duration.as_secs_f64()),
+        premium_kbps,
         slo_misses: counter("slo.misses"),
         tail_drops: counter("net.drops.queue_full").saturating_sub(counter("net.drops.red_early")),
         red_early_drops: counter("net.drops.red_early"),
-        events: metrics.events,
     };
-    (cell, metrics)
+    report.map(|_| cell)
 }
 
-/// The full SP/WFQ/DRR × drop-tail/RED matrix, in a fixed order. Returns
-/// the six cells plus the metrics snapshot of the WFQ × RED cell (the
-/// matrix's designated `results/qdisc_ablation/metrics.json` source).
-pub fn qdisc_ablation_matrix(cfg: QdiscAblationCfg) -> (Vec<QdiscCell>, RunMetrics) {
+/// The full SP/WFQ/DRR × drop-tail/RED matrix, in a fixed order. The
+/// report's artifacts are those of the WFQ × RED cell (the matrix's
+/// designated `results/qdisc_ablation/` source).
+pub fn qdisc_ablation(cfg: Fig1Cfg, opts: &RunOpts) -> RunReport<Vec<QdiscCell>> {
     let mut cells = Vec::new();
     let mut designated = None;
     for sched in [SchedKind::Sp, SchedKind::Wfq, SchedKind::Drr] {
         for red in [false, true] {
-            let (cell, metrics) = qdisc_ablation_cell(sched, red, cfg, TRACE_CAPACITY);
+            let report = qdisc_ablation_cell(sched, red, cfg, opts);
+            cells.push(report.out);
             if sched == SchedKind::Wfq && red {
-                designated = Some(metrics);
+                designated = Some(report);
             }
-            cells.push(cell);
         }
     }
-    (
-        cells,
-        designated.expect("matrix includes the WFQ × RED cell"),
-    )
+    designated
+        .expect("matrix includes the WFQ × RED cell")
+        .map(|_| cells)
 }
 
 // ---------------------------------------------------------------------
@@ -1786,7 +1507,7 @@ pub fn sec3_finite_difference(cfg: Sec3Cfg) -> Sec3Out {
 
 // ---------------------------------------------------------------------
 // Chaos ranks — rolling rank failures + a correlated two-host outage
-// while surviving premium flows hold their SLO (fig_chaos_ranks)
+// while surviving premium flows hold their SLO (`fig chaos_ranks`)
 // ---------------------------------------------------------------------
 
 /// Configuration of the rank-failure chaos experiment.
@@ -1837,7 +1558,11 @@ pub struct ChaosRanksCfg {
     pub duration: SimTime,
     /// Seed of the fault layer's private RNG.
     pub seed: u64,
-    pub scheduler: SchedulerKind,
+    /// Drive the run through the parallel engine's lock-step lookahead
+    /// windows of this width. The lab topology is a single shard, so the
+    /// result is bit-identical to the plain run. `None` windows only when
+    /// `MPICHGQ_THREADS` asks for more than one thread.
+    pub window: Option<SimDelta>,
 }
 
 impl Default for ChaosRanksCfg {
@@ -1859,7 +1584,7 @@ impl Default for ChaosRanksCfg {
             correlated_outage: SimDelta::from_millis(2_500),
             duration: SimTime::from_secs(24),
             seed: 29,
-            scheduler: SchedulerKind::default(),
+            window: None,
         }
     }
 }
@@ -1934,7 +1659,6 @@ fn cr_seq(payload: &[u8]) -> u64 {
 /// sequence number after each ack, resumes from the checkpoint after a
 /// restart, and backs off by one interval whenever the peer is down.
 fn chaos_ranks_sender(frame_bytes: u32, interval: SimDelta) -> ProgramFactory {
-    use std::rc::Rc;
     Rc::new(move || {
         let mut cur: Option<u64> = None;
         let mut send: Option<ReqId> = None;
@@ -1996,11 +1720,7 @@ fn chaos_ranks_sender(frame_bytes: u32, interval: SimDelta) -> ProgramFactory {
 /// Restartable receiver (rank 1): accepts in-order frames, checkpoints
 /// the expected sequence number, and acks duplicates so a replayed
 /// frame unsticks the sender after either side restarts.
-fn chaos_ranks_receiver(
-    pair: usize,
-    progress: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
-) -> ProgramFactory {
-    use std::rc::Rc;
+fn chaos_ranks_receiver(pair: usize, progress: Rc<RefCell<Vec<u64>>>) -> ProgramFactory {
     Rc::new(move || {
         let progress = progress.clone();
         let mut expected: Option<u64> = None;
@@ -2047,37 +1767,10 @@ fn chaos_ranks_receiver(
     })
 }
 
-/// Run the chaos-ranks experiment with the standard (environment-driven)
-/// windowing; see [`chaos_ranks_run_windowed`] for the explicit-window
-/// variant the determinism tests compare against.
-pub fn chaos_ranks_run(
-    cfg: ChaosRanksCfg,
-    trace_capacity: usize,
-) -> (RunMetrics, ChaosRanksOutcome) {
-    chaos_ranks_inner(cfg, trace_capacity, env_timeline_interval(), None)
-}
-
-/// [`chaos_ranks_run`] driven through the parallel engine's lock-step
-/// lookahead windows of the given width. The lab topology is a single
-/// shard, so the result must be bit-identical to the plain run — the
-/// 1-vs-N-threads determinism guarantee the CI smoke job rides on.
-pub fn chaos_ranks_run_windowed(
-    cfg: ChaosRanksCfg,
-    trace_capacity: usize,
-    window: SimDelta,
-) -> (RunMetrics, ChaosRanksOutcome) {
-    chaos_ranks_inner(cfg, trace_capacity, env_timeline_interval(), Some(window))
-}
-
-fn chaos_ranks_inner(
-    cfg: ChaosRanksCfg,
-    trace_capacity: usize,
-    timeline: Option<SimDelta>,
-    window: Option<SimDelta>,
-) -> (RunMetrics, ChaosRanksOutcome) {
+/// Run the chaos-ranks experiment. Lifecycle tracing is armed whatever
+/// `opts` says: the SLO scorecard is this experiment's figure of merit.
+pub fn chaos_ranks(cfg: ChaosRanksCfg, opts: &RunOpts) -> RunReport<ChaosRanksOutcome> {
     use mpichgq_apps::{UdpBlaster, UdpSink};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     assert!(cfg.pairs >= 2, "need at least two pairs");
     assert!(
@@ -2117,16 +1810,8 @@ fn chaos_ranks_inner(
     gara.manage_core_links(&sim.net, 0.7);
     install_gara(&mut sim.stack, gara);
 
-    // Observability: flight recorder + timeline sampler as configured,
-    // and lifecycle tracing unconditionally — the SLO scorecard *is*
-    // this experiment's figure of merit.
-    if trace_capacity > 0 {
-        sim.net.obs.enable_trace(trace_capacity);
-    }
     sim.net.enable_packet_tracing();
-    if let Some(interval) = timeline {
-        sim.net.enable_timeline(interval);
-    }
+    arm(&mut sim.net, opts);
     for i in 0..cfg.pairs {
         sim.net.set_deadline_matching(
             FlowSpec::host_pair(srcs[i], dsts[i], Proto::Tcp),
@@ -2150,17 +1835,7 @@ fn chaos_ranks_inner(
     // its crash-scheduled sender host), the rest as static grants.
     let flow = AdaptiveFlow::install(
         &mut sim,
-        NetworkRequest {
-            src: srcs[0],
-            dst: dsts[0],
-            proto: Proto::Tcp,
-            src_port: None,
-            dst_port: None,
-            rate_bps: cfg.reserve_bps,
-            depth: DepthRule::Normal,
-            action: PolicingAction::Drop,
-            shape_at_source: false,
-        },
+        premium(srcs[0], dsts[0], Proto::Tcp, cfg.reserve_bps),
         SimTime::from_millis(300),
         AdaptPolicy {
             min_rate_bps: cfg.reserve_bps / 2,
@@ -2168,27 +1843,15 @@ fn chaos_ranks_inner(
         },
     );
     flow.bind_host(&mut sim, srcs[0]);
-    for i in 1..cfg.pairs {
-        let mut g = sim.stack.take_service::<Gara>().expect("gara installed");
-        g.reserve(
-            &mut sim.net,
-            Request::Network(NetworkRequest {
-                src: srcs[i],
-                dst: dsts[i],
-                proto: Proto::Tcp,
-                src_port: None,
-                dst_port: None,
-                rate_bps: cfg.reserve_bps,
-                depth: DepthRule::Normal,
-                action: PolicingAction::Drop,
-                shape_at_source: false,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .expect("static premium reservation admitted");
-        sim.stack.put_service_box(g);
-    }
+    with_gara(&mut sim.stack, &mut sim.net, |g, net| {
+        for i in 1..cfg.pairs {
+            reserve_now(
+                g,
+                net,
+                premium(srcs[i], dsts[i], Proto::Tcp, cfg.reserve_bps),
+            );
+        }
+    });
 
     // The fault plan: rolling sender crashes, then the correlated
     // two-host outage of the last pair.
@@ -2243,19 +1906,11 @@ fn chaos_ranks_inner(
         })
         .collect();
 
-    match window {
+    match cfg.window {
         Some(w) => mpichgq_netsim::run_windowed(&mut sim.net, &mut sim.stack, w, cfg.duration),
         None => run_env_windowed(&mut sim, cfg.duration),
     }
-
-    let at = sim.net.now();
-    sim.net.timeline_finalize(&mut sim.stack, at);
-    let metrics = RunMetrics {
-        events: sim.net.events_processed(),
-        metrics_json: sim.net.metrics_json(),
-        trace_json: sim.net.chrome_trace_json(),
-        timeline_json: sim.net.timeline_json(),
-    };
+    let report = collect(&mut sim);
 
     // Scorecard: data-direction deliveries and deadline misses per pair,
     // from the SLO layer's per-flow ledger.
@@ -2302,5 +1957,5 @@ fn chaos_ranks_inner(
         faults: sim.net.fault_stats().unwrap_or_default(),
         scores,
     };
-    (metrics, outcome)
+    report.map(|()| outcome)
 }

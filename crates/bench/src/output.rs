@@ -1,36 +1,51 @@
-//! Console output helpers for the experiment binaries: CSV series and
-//! aligned tables, so each binary prints the same rows/series the paper's
-//! figures and tables report.
+//! Output helpers for the figure renderers: CSV series and aligned tables,
+//! so each figure prints the same rows/series the paper's figures and
+//! tables report, plus the one writer for the per-run artifacts under
+//! `results/<experiment>/`.
 
+use crate::RunReport;
 use mpichgq_sim::TimeSeries;
+use std::io::{self, Write};
 
 /// Print a `(t, value)` series as CSV with a header.
-pub fn print_series(title: &str, value_label: &str, s: &TimeSeries) {
-    println!("# {title}");
-    println!("time_s,{value_label}");
-    print!("{}", s.to_csv());
+pub fn print_series(
+    out: &mut dyn Write,
+    title: &str,
+    value_label: &str,
+    s: &TimeSeries,
+) -> io::Result<()> {
+    writeln!(out, "# {title}")?;
+    writeln!(out, "time_s,{value_label}")?;
+    write!(out, "{}", s.to_csv())
 }
 
 /// Print a sweep family: one CSV block per row key.
 pub fn print_sweep(
+    out: &mut dyn Write,
     title: &str,
     row_label: &str,
     col_label: &str,
     value_label: &str,
     rows: &[(u32, Vec<(f64, f64)>)],
-) {
-    println!("# {title}");
-    println!("{row_label},{col_label},{value_label}");
+) -> io::Result<()> {
+    writeln!(out, "# {title}")?;
+    writeln!(out, "{row_label},{col_label},{value_label}")?;
     for (key, pts) in rows {
         for (x, y) in pts {
-            println!("{key},{x:.0},{y:.1}");
+            writeln!(out, "{key},{x:.0},{y:.1}")?;
         }
     }
+    Ok(())
 }
 
 /// Print an aligned table from header + rows of strings.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("# {title}");
+pub fn print_table(
+    out: &mut dyn Write,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    writeln!(out, "# {title}")?;
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -45,71 +60,41 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!(
+    writeln!(
+        out,
         "{}",
         fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
+    )?;
     for row in rows {
-        println!("{}", fmt_row(row));
+        writeln!(out, "{}", fmt_row(row))?;
     }
+    Ok(())
 }
 
-/// `--fast` flag helper for experiment binaries.
-pub fn fast_mode() -> bool {
-    std::env::args().any(|a| a == "--fast")
-}
-
-/// Write an experiment's registry snapshot to
-/// `results/<experiment>/metrics.json` (relative to the invocation
-/// directory, like the `results/*.txt` series the binaries print). The
-/// path is echoed on stderr so figure logs stay clean CSV.
-pub fn write_metrics(experiment: &str, metrics_json: &str) {
+/// Write `results/<experiment>/<file>` (relative to the invocation
+/// directory, like the `results/*.txt` series). The path is echoed on
+/// stderr so figure output stays clean CSV; a write failure is a warning,
+/// not an abort.
+pub fn write_artifact(experiment: &str, file: &str, contents: &str) {
     let dir = std::path::Path::new("results").join(experiment);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("metrics.json");
-    match std::fs::write(&path, metrics_json) {
-        Ok(()) => eprintln!("# metrics: {}", path.display()),
+    let path = dir.join(file);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, contents)) {
+        Ok(()) => eprintln!("# {file}: {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }
 
-/// Write an experiment's sampled time-series document to
-/// `results/<experiment>/timeline.json` (a no-op when sampling was off
-/// and `timeline_json` is `None`). `qtop` summarizes it and
-/// `qtop --check` gates its shape in CI; like `metrics.json`, committed
-/// timelines are regenerated by `scripts/regenerate_results.sh`.
-pub fn write_timeline(experiment: &str, timeline_json: Option<&str>) {
-    let Some(doc) = timeline_json else {
-        return;
-    };
-    let dir = std::path::Path::new("results").join(experiment);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+/// Write a run's artifacts under `results/<experiment>/`: the registry
+/// snapshot (`metrics.json`), the sampled timeline (`timeline.json`, when
+/// sampling was on) and, when `trace` is set, the packet-lifecycle Chrome
+/// trace (`trace.json`). Metrics and timelines are committed and gated
+/// byte for byte; traces are large and gitignored.
+pub fn write_report<T>(experiment: &str, r: &RunReport<T>, trace: bool) {
+    write_artifact(experiment, "metrics.json", &r.metrics_json);
+    if trace {
+        write_artifact(experiment, "trace.json", &r.trace_json);
     }
-    let path = dir.join("timeline.json");
-    match std::fs::write(&path, doc) {
-        Ok(()) => eprintln!("# timeline: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write an experiment's packet-lifecycle Chrome trace to
-/// `results/<experiment>/trace.json`. Load it in Perfetto or summarize it
-/// with `qtrace`; `qtrace --check` gates its shape in CI. Traces are
-/// regenerated artifacts (gitignored), unlike the committed metrics.
-pub fn write_trace(experiment: &str, trace_json: &str) {
-    let dir = std::path::Path::new("results").join(experiment);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("trace.json");
-    match std::fs::write(&path, trace_json) {
-        Ok(()) => eprintln!("# trace: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    if let Some(timeline) = &r.timeline_json {
+        write_artifact(experiment, "timeline.json", timeline);
     }
 }

@@ -418,12 +418,11 @@ impl Net {
         queues: Vec<Queue>,
         routes: RouteTable,
         seed: u64,
-        scheduler: SchedulerKind,
     ) -> Self {
         let mut obs = Obs::new();
         let ctrs = NetCounters::register(&mut obs);
         Net {
-            engine: Engine::with_scheduler(scheduler),
+            engine: Engine::new(),
             nodes,
             chans,
             queues,
@@ -575,10 +574,10 @@ impl Net {
         self.engine.processed()
     }
 
-    /// Calendar-scheduler operation counters, for benchmark diagnostics.
-    #[doc(hidden)]
+    /// The engine's calendar-queue operation counters. Always `Some`: the
+    /// calendar queue is the only scheduler.
     pub fn scheduler_stats(&self) -> Option<mpichgq_sim::CalendarStats> {
-        self.engine.calendar_stats()
+        Some(self.engine.calendar_stats())
     }
 
     /// Number of events currently pending in the engine.
@@ -610,11 +609,6 @@ impl Net {
     #[inline]
     pub fn route(&self, from: NodeId, to: NodeId) -> Option<ChanId> {
         self.routes.get(from, to)
-    }
-
-    /// Which scheduler backend drives this network's event engine.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.engine.scheduler_kind()
     }
 
     /// The sum of per-hop propagation delays from `a` to `b` (no queueing or
@@ -1005,12 +999,11 @@ impl Net {
         let m = &mut self.obs.metrics;
         m.record_total("engine.events_processed", self.engine.processed());
         m.set_gauge("engine.pending_events", self.engine.len() as f64);
-        if let Some(cs) = self.engine.calendar_stats() {
-            m.record_total("engine.calendar.rebuilds", cs.rebuilds);
-            m.record_total("engine.calendar.fallbacks", cs.fallbacks);
-            m.record_total("engine.calendar.scan_steps", cs.scan_steps);
-            m.record_total("engine.calendar.slow_pushes", cs.slow_pushes);
-        }
+        let cs = self.engine.calendar_stats();
+        m.record_total("engine.calendar.rebuilds", cs.rebuilds);
+        m.record_total("engine.calendar.fallbacks", cs.fallbacks);
+        m.record_total("engine.calendar.scan_steps", cs.scan_steps);
+        m.record_total("engine.calendar.slow_pushes", cs.slow_pushes);
         m.record_total("net.drops.policed", self.drops.policed);
         m.record_total("net.drops.queue_full", self.drops.queue_full);
         m.record_total("net.drops.misrouted", self.drops.misrouted);
@@ -1302,12 +1295,11 @@ impl Net {
         let at = SimTime::from_nanos(at_ns);
         tl.push_counter("engine.events_processed", at_ns, self.engine.processed());
         tl.push_gauge("engine.pending_events", at_ns, self.engine.len() as f64);
-        if let Some(cs) = self.engine.calendar_stats() {
-            tl.push_counter("engine.calendar.rebuilds", at_ns, cs.rebuilds);
-            tl.push_counter("engine.calendar.fallbacks", at_ns, cs.fallbacks);
-            tl.push_counter("engine.calendar.scan_steps", at_ns, cs.scan_steps);
-            tl.push_counter("engine.calendar.slow_pushes", at_ns, cs.slow_pushes);
-        }
+        let cs = self.engine.calendar_stats();
+        tl.push_counter("engine.calendar.rebuilds", at_ns, cs.rebuilds);
+        tl.push_counter("engine.calendar.fallbacks", at_ns, cs.fallbacks);
+        tl.push_counter("engine.calendar.scan_steps", at_ns, cs.scan_steps);
+        tl.push_counter("engine.calendar.slow_pushes", at_ns, cs.slow_pushes);
         tl.push_counter("net.drops.policed", at_ns, self.drops.policed);
         tl.push_counter("net.drops.queue_full", at_ns, self.drops.queue_full);
         tl.push_counter("net.drops.misrouted", at_ns, self.drops.misrouted);
@@ -2082,7 +2074,6 @@ pub struct TopoBuilder {
     chans: Vec<Chan>,
     queues: Vec<Queue>,
     seed: u64,
-    scheduler: SchedulerKind,
 }
 
 impl TopoBuilder {
@@ -2092,13 +2083,12 @@ impl TopoBuilder {
             chans: Vec::new(),
             queues: Vec::new(),
             seed,
-            scheduler: SchedulerKind::default(),
         }
     }
 
-    /// Choose the event-scheduler backend for the built network.
-    pub fn scheduler(&mut self, kind: SchedulerKind) -> &mut Self {
-        self.scheduler = kind;
+    /// Choose the event-scheduler backend. The calendar queue is the only
+    /// backend, so this is a no-op kept for callers that name it.
+    pub fn scheduler(&mut self, _kind: SchedulerKind) -> &mut Self {
         self
     }
 
@@ -2211,14 +2201,7 @@ impl TopoBuilder {
                 }
             }
         }
-        Net::from_parts(
-            self.nodes,
-            self.chans,
-            self.queues,
-            routes,
-            self.seed,
-            self.scheduler,
-        )
+        Net::from_parts(self.nodes, self.chans, self.queues, routes, self.seed)
     }
 }
 

@@ -5,34 +5,24 @@
 //! the engine with a pop-dispatch loop. Ties in time are broken by insertion
 //! order (a monotonic sequence number), which makes runs deterministic.
 //!
-//! Two interchangeable scheduler backends implement the same contract
-//! (earliest `(time, seq)` pops first):
-//!
-//! - [`SchedulerKind::Heap`]: a `BinaryHeap` — the O(log n) reference
-//!   implementation the property tests compare against.
-//! - [`SchedulerKind::Calendar`] (the default): a calendar queue in the
-//!   style of Brown (CACM 1988) — a power-of-two ring of time buckets with
-//!   amortized O(1) enqueue/dequeue, the structure ns-2 adopted for exactly
-//!   this packet-event workload. Bucket width and count adapt to the
-//!   observed event density.
+//! The queue is a calendar queue in the style of Brown (CACM 1988): a
+//! power-of-two ring of time buckets with amortized O(1) enqueue/dequeue,
+//! the structure ns-2 adopted for exactly this packet-event workload.
+//! Bucket width and count adapt to the observed event density. Its
+//! contract — the earliest `(time, seq)` pops first — is checked against a
+//! plain `BinaryHeap` reference model in `tests/scheduler_equivalence.rs`.
 //!
 //! Cancellation is not supported directly; users attach generation counters
 //! to their events and ignore stale ones on delivery (lazy cancellation).
 //! This is both simpler and faster than tombstoning entries.
 
 use crate::time::{SimDelta, SimTime};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Which event-queue backend an [`Engine`] uses.
-///
-/// Both backends are observably identical (same pop order, same clock
-/// behavior); `Calendar` is the default because it is measurably faster on
-/// packet workloads (see `BENCH_engine.json`).
+/// The event-queue backend an [`Engine`] uses. The calendar queue is the
+/// only one; the enum remains so callers that name it keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Binary-heap reference scheduler.
-    Heap,
     /// Bucketed calendar queue (timing wheel with adaptive width).
     #[default]
     Calendar,
@@ -42,24 +32,6 @@ struct Entry<E> {
     at: SimTime,
     seq: u64,
     ev: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Cached location of the minimum pending entry in a [`CalendarQueue`],
@@ -101,8 +73,9 @@ struct CalendarQueue<E> {
     stats: CalendarStats,
 }
 
-/// Lifetime operation counters for a `CalendarQueue`, for benchmark
-/// diagnostics (see `bench_engine`); not part of the public API.
+/// Lifetime operation counters of an [`Engine`]'s calendar queue. They are
+/// published as the `engine.calendar.*` metrics and read by the benchmark's
+/// per-layer split.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CalendarStats {
     /// Full re-bucketing passes.
@@ -142,6 +115,20 @@ impl<E> CalendarQueue<E> {
     }
 
     fn push(&mut self, e: Entry<E>) {
+        if !self.place(e) {
+            self.stats.slow_pushes += 1;
+        }
+        self.len += 1;
+        if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
+            self.rebuild();
+        }
+    }
+
+    /// File `e` in its bucket, keeping the bucket sorted and the head
+    /// current. Returns `false` when `e` could not append and had to
+    /// binary-search its position.
+    #[inline]
+    fn place(&mut self, e: Entry<E>) -> bool {
         let idx = self.bucket_of(e.at);
         if self.head.is_none_or(|h| (e.at, e.seq) < (h.at, h.seq)) {
             self.head = Some(Head {
@@ -157,14 +144,11 @@ impl<E> CalendarQueue<E> {
             .is_none_or(|last| (last.at, last.seq) < (e.at, e.seq))
         {
             b.push_back(e);
+            true
         } else {
-            self.stats.slow_pushes += 1;
             let pos = b.partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
             b.insert(pos, e);
-        }
-        self.len += 1;
-        if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild();
+            false
         }
     }
 
@@ -258,40 +242,17 @@ impl<E> CalendarQueue<E> {
         self.mask = (nbuckets - 1) as u64;
         self.wlog = wlog;
         self.head = None;
-        let len = entries.len();
         for e in entries {
-            let idx = self.bucket_of(e.at);
-            if self.head.is_none_or(|h| (e.at, e.seq) < (h.at, h.seq)) {
-                self.head = Some(Head {
-                    at: e.at,
-                    seq: e.seq,
-                    bucket: idx,
-                });
-            }
-            let b = &mut self.buckets[idx];
-            if b.back()
-                .is_none_or(|last| (last.at, last.seq) < (e.at, e.seq))
-            {
-                b.push_back(e);
-            } else {
-                let pos = b.partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
-                b.insert(pos, e);
-            }
+            self.place(e);
         }
-        self.len = len;
     }
-}
-
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(CalendarQueue<E>),
 }
 
 /// A deterministic discrete-event queue.
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    backend: Backend<E>,
+    queue: CalendarQueue<E>,
     processed: u64,
 }
 
@@ -302,41 +263,18 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// An engine with the default scheduler backend.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::default())
-    }
-
-    /// An engine with an explicitly chosen scheduler backend.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        let backend = match kind {
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-        };
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            backend,
+            queue: CalendarQueue::new(),
             processed: 0,
         }
     }
 
-    /// Calendar-backend operation counters (`None` on the heap backend).
-    /// Benchmark/diagnostic use only.
-    #[doc(hidden)]
-    pub fn calendar_stats(&self) -> Option<CalendarStats> {
-        match &self.backend {
-            Backend::Heap(_) => None,
-            Backend::Calendar(c) => Some(c.stats),
-        }
-    }
-
-    /// Which scheduler backend this engine was built with.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Calendar(_) => SchedulerKind::Calendar,
-        }
+    /// The calendar queue's operation counters.
+    pub fn calendar_stats(&self) -> CalendarStats {
+        self.queue.stats
     }
 
     /// Current simulation time: the timestamp of the most recently popped event.
@@ -354,10 +292,7 @@ impl<E> Engine<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.queue.len
     }
 
     #[inline]
@@ -376,11 +311,7 @@ impl<E> Engine<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { at, seq, ev };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Calendar(c) => c.push(entry),
-        }
+        self.queue.push(Entry { at, seq, ev });
     }
 
     /// Schedule `ev` after delay `d` from the current time.
@@ -392,18 +323,12 @@ impl<E> Engine<E> {
     /// Timestamp of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.at),
-            Backend::Calendar(c) => c.head.map(|h| h.at),
-        }
+        self.queue.head.map(|h| h.at)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = match &mut self.backend {
-            Backend::Heap(h) => h.pop()?,
-            Backend::Calendar(c) => c.pop()?,
-        };
+        let e = self.queue.pop()?;
         debug_assert!(e.at >= self.now);
         self.now = e.at;
         self.processed += 1;
@@ -431,62 +356,45 @@ impl<E> Engine<E> {
 mod tests {
     use super::*;
 
-    fn both() -> [Engine<u32>; 2] {
-        [
-            Engine::with_scheduler(SchedulerKind::Heap),
-            Engine::with_scheduler(SchedulerKind::Calendar),
-        ]
-    }
-
-    #[test]
-    fn default_backend_is_calendar() {
-        let e: Engine<u32> = Engine::new();
-        assert_eq!(e.scheduler_kind(), SchedulerKind::Calendar);
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut e in both() {
-            e.schedule(SimTime::from_secs(3), 3);
-            e.schedule(SimTime::from_secs(1), 1);
-            e.schedule(SimTime::from_secs(2), 2);
-            let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-            assert_eq!(e.now(), SimTime::from_secs(3));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule(SimTime::from_secs(3), 3);
+        e.schedule(SimTime::from_secs(1), 1);
+        e.schedule(SimTime::from_secs(2), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(e.now(), SimTime::from_secs(3));
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut e in both() {
-            let t = SimTime::from_millis(5);
-            for v in 0..10 {
-                e.schedule(t, v);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let mut e: Engine<u32> = Engine::new();
+        let t = SimTime::from_millis(5);
+        for v in 0..10 {
+            e.schedule(t, v);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn pop_until_respects_limit_and_advances_clock() {
-        for mut e in both() {
-            e.schedule(SimTime::from_secs(10), 10);
-            assert_eq!(e.pop_until(SimTime::from_secs(5)), None);
-            assert_eq!(e.now(), SimTime::from_secs(5));
-            assert_eq!(
-                e.pop_until(SimTime::from_secs(10)),
-                Some((SimTime::from_secs(10), 10))
-            );
-        }
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule(SimTime::from_secs(10), 10);
+        assert_eq!(e.pop_until(SimTime::from_secs(5)), None);
+        assert_eq!(e.now(), SimTime::from_secs(5));
+        assert_eq!(
+            e.pop_until(SimTime::from_secs(10)),
+            Some((SimTime::from_secs(10), 10))
+        );
     }
 
     #[test]
     fn pop_until_on_empty_advances_to_limit() {
-        for mut e in both() {
-            assert_eq!(e.pop_until(SimTime::from_secs(7)), None);
-            assert_eq!(e.now(), SimTime::from_secs(7));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        assert_eq!(e.pop_until(SimTime::from_secs(7)), None);
+        assert_eq!(e.now(), SimTime::from_secs(7));
     }
 
     #[test]
@@ -500,17 +408,16 @@ mod tests {
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        for mut e in both() {
-            e.schedule(SimTime::from_secs(1), 1);
-            e.pop();
-            e.schedule_in(SimDelta::from_secs(1), 2);
-            assert_eq!(e.pop().unwrap().0, SimTime::from_secs(2));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule(SimTime::from_secs(1), 1);
+        e.pop();
+        e.schedule_in(SimDelta::from_secs(1), 2);
+        assert_eq!(e.pop().unwrap().0, SimTime::from_secs(2));
     }
 
     #[test]
     fn calendar_handles_far_future_and_resize() {
-        let mut e: Engine<u64> = Engine::with_scheduler(SchedulerKind::Calendar);
+        let mut e: Engine<u64> = Engine::new();
         // Dense near-term burst (forces growth), one far-future timer
         // (forces the direct-search fallback), and interleaved pops.
         for i in 0..10_000u64 {
@@ -530,7 +437,7 @@ mod tests {
 
     #[test]
     fn calendar_handles_max_timestamp() {
-        let mut e: Engine<u32> = Engine::with_scheduler(SchedulerKind::Calendar);
+        let mut e: Engine<u32> = Engine::new();
         e.schedule(SimTime::MAX, 1);
         e.schedule(SimTime::ZERO, 0);
         assert_eq!(e.pop(), Some((SimTime::ZERO, 0)));

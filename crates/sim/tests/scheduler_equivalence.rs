@@ -1,12 +1,92 @@
-//! Property: the calendar queue and the binary heap are observably
-//! identical schedulers. Any interleaving of `schedule` / `pop` /
-//! `pop_until` — including same-timestamp bursts, far-future timers, and
-//! horizons that land between events — produces byte-identical pop
-//! sequences, clocks, and processed counts. This equivalence is what lets
-//! the calendar queue be the default backend.
+//! Property: the engine's calendar queue is observably identical to a
+//! plain `BinaryHeap` reference scheduler. Any interleaving of
+//! `schedule` / `pop` / `pop_until` — including same-timestamp bursts,
+//! far-future timers, and horizons that land between events — produces
+//! byte-identical pop sequences, clocks, and processed counts.
 
-use mpichgq_sim::{Engine, SchedulerKind, SimTime};
+use mpichgq_sim::{Engine, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The reference model: the earliest `(time, seq)` pops first, straight
+/// off a min-heap, with the engine's clock and counter semantics.
+#[derive(Default)]
+struct Reference {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    now: SimTime,
+    seq: u64,
+    processed: u64,
+}
+
+/// The scheduling contract the engine and the reference share.
+trait Scheduler {
+    fn now(&self) -> SimTime;
+    fn len(&self) -> usize;
+    fn processed(&self) -> u64;
+    fn peek_time(&self) -> Option<SimTime>;
+    fn schedule(&mut self, at: SimTime, v: u64);
+    fn pop(&mut self) -> Option<(SimTime, u64)>;
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64)>;
+}
+
+impl Scheduler for Reference {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+    fn processed(&self) -> u64 {
+        self.processed
+    }
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+    fn schedule(&mut self, at: SimTime, v: u64) {
+        self.heap.push(Reverse((at, self.seq, v)));
+        self.seq += 1;
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let Reverse((at, _, v)) = self.heap.pop()?;
+        self.now = at;
+        self.processed += 1;
+        Some((at, v))
+    }
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
+        match self.peek_time() {
+            Some(t) if t <= limit => self.pop(),
+            _ => {
+                self.now = self.now.max(limit);
+                None
+            }
+        }
+    }
+}
+
+impl Scheduler for Engine<u64> {
+    fn now(&self) -> SimTime {
+        Engine::now(self)
+    }
+    fn len(&self) -> usize {
+        Engine::len(self)
+    }
+    fn processed(&self) -> u64 {
+        Engine::processed(self)
+    }
+    fn peek_time(&self) -> Option<SimTime> {
+        Engine::peek_time(self)
+    }
+    fn schedule(&mut self, at: SimTime, v: u64) {
+        Engine::schedule(self, at, v)
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        Engine::pop(self)
+    }
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
+        Engine::pop_until(self, limit)
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -30,9 +110,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Run one op against an engine, returning an observation string capturing
-/// everything externally visible about the step.
-fn step(e: &mut Engine<u64>, op: &Op, payload: &mut u64) -> String {
+/// Run one op against a scheduler, returning an observation string
+/// capturing everything externally visible about the step.
+fn step(e: &mut impl Scheduler, op: &Op, payload: &mut u64) -> String {
     match op {
         Op::Schedule { delta, burst } => {
             for _ in 0..*burst {
@@ -62,8 +142,8 @@ proptest! {
     fn calendar_matches_heap_observably(
         ops in proptest::collection::vec(op_strategy(), 1..200),
     ) {
-        let mut heap: Engine<u64> = Engine::with_scheduler(SchedulerKind::Heap);
-        let mut cal: Engine<u64> = Engine::with_scheduler(SchedulerKind::Calendar);
+        let mut heap = Reference::default();
+        let mut cal: Engine<u64> = Engine::new();
         let (mut ph, mut pc) = (0u64, 0u64);
         for (i, op) in ops.iter().enumerate() {
             let oh = step(&mut heap, op, &mut ph);
@@ -88,14 +168,13 @@ proptest! {
 /// bursts, identical timestamps across bursts, and a resize-forcing ramp.
 #[test]
 fn calendar_matches_heap_on_dense_ramp() {
-    let mut heap: Engine<u64> = Engine::with_scheduler(SchedulerKind::Heap);
-    let mut cal: Engine<u64> = Engine::with_scheduler(SchedulerKind::Calendar);
-    for e in [&mut heap, &mut cal] {
-        // Multiplicative-hash timestamps: scattered, with collisions.
-        for i in 0..50_000u64 {
-            let t = (i.wrapping_mul(2_654_435_761)) % 1_000_000;
-            e.schedule(SimTime::from_nanos(t), i);
-        }
+    let mut heap = Reference::default();
+    let mut cal: Engine<u64> = Engine::new();
+    // Multiplicative-hash timestamps: scattered, with collisions.
+    for i in 0..50_000u64 {
+        let t = SimTime::from_nanos((i.wrapping_mul(2_654_435_761)) % 1_000_000);
+        heap.schedule(t, i);
+        cal.schedule(t, i);
     }
     loop {
         let h = heap.pop();

@@ -6,9 +6,9 @@ Usage: perf_gate.py BASELINE.json FRESH.json [--tolerance 0.25]
 Understands both benchmark schemas and auto-detects each file's via its
 "benchmark" field:
 
-* bench_engine  — {"workloads": [{name, heap, calendar}, ...]}; the
-  calendar backend's events/sec is the gated number (heap is informative
-  only, since calendar is the default scheduler).
+* bench_engine  — {"workloads": [{name, calendar}, ...]}; the calendar
+  queue's events/sec is the gated number (baselines recorded before the
+  heap backend was removed also carry an ignored "heap" entry).
 * bench_parallel — {"engine_compat": ..., "scaling": {"runs": [...]}};
   engine_compat is the bench_engine transport_multiflow_bulk workload
   run monolithically (so it can be gated *across files* against a

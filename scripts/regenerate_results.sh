@@ -3,30 +3,8 @@
 # Full-resolution runs; pass --fast through for reduced sweeps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cargo build --release -p mpichgq-bench
-mkdir -p results
-BIN=target/release
-FAST="${1:-}"
-$BIN/garnet_info                > results/fig4.txt
-$BIN/fig1_tcp_sawtooth   $FAST  > results/fig1.txt &
-$BIN/fig7_seq_traces     $FAST  > results/fig7.txt &
-$BIN/fig8_cpu_reservation $FAST > results/fig8.txt &
-$BIN/fig9_combined       $FAST  > results/fig9.txt &
-wait
-$BIN/fig5_pingpong_sweep $FAST  > results/fig5.txt &
-$BIN/fig6_viz_sweep      $FAST  > results/fig6.txt &
-$BIN/table1_burstiness   $FAST  > results/table1.txt &
-wait
-$BIN/sec3_finite_difference $FAST > results/sec3.txt &
-$BIN/ablations           $FAST  > results/ablations.txt &
-$BIN/fig_chaos           $FAST  > results/chaos.txt &
-wait
-$BIN/fig_af_conformance  $FAST  > results/af_conformance.txt &
-$BIN/fig_qdisc_ablation  $FAST  > results/qdisc_ablation.txt &
-$BIN/fig_chaos_ranks     $FAST  > results/chaos_ranks.txt &
-wait
-echo "results/ refreshed:"
-grep -H "^#" results/*.txt | grep -iE "summary|phases|adequate|penalty|saturate" || true
+cargo build --release -p mpichgq-bench --bin fig
+target/release/fig all ${1:-}
 if command -v python3 >/dev/null; then
   python3 scripts/check_metrics.py results/*/metrics.json results/*/timeline.json
 fi

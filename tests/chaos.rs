@@ -6,20 +6,21 @@
 //! figures job runs with `--fast` — so the asserted windows match what
 //! `results/chaos/metrics.json` is generated from.
 
-use mpichgq_bench::{chaos_run, phase_mean, ChaosCfg};
+use mpichgq_bench::{chaos, phase_mean, ChaosCfg, RunOpts};
 use mpichgq_core::AdaptState;
 
 #[test]
 fn chaos_bandwidth_recovers_after_fault_clearance() {
     let cfg = ChaosCfg::fast();
-    let (series, _metrics, outcome) = chaos_run(cfg, 2048);
+    let outcome = chaos(cfg, &RunOpts::traced(2048)).out;
+    let series = &outcome.series;
 
     let (pre_lo, pre_hi) = cfg.pre_fault_window();
     let (deg_lo, deg_hi) = cfg.degraded_window();
     let (rec_lo, rec_hi) = cfg.recovery_window();
-    let pre = phase_mean(&series, pre_lo, pre_hi);
-    let degraded = phase_mean(&series, deg_lo, deg_hi);
-    let recovered = phase_mean(&series, rec_lo, rec_hi);
+    let pre = phase_mean(series, pre_lo, pre_hi);
+    let degraded = phase_mean(series, deg_lo, deg_hi);
+    let recovered = phase_mean(series, rec_lo, rec_hi);
 
     assert!(pre > 25_000.0, "pre-fault premium phase healthy: {pre:.0}");
     assert!(
@@ -46,7 +47,8 @@ fn chaos_adaptation_transitions_match_the_plan() {
     // events would be evicted by the tens of thousands of per-packet
     // drop events that follow, so this test arms a ring large enough to
     // retain the entire run.
-    let (_series, metrics, outcome) = chaos_run(cfg, 65_536);
+    let metrics = chaos(cfg, &RunOpts::traced(65_536));
+    let outcome = &metrics.out;
 
     // reject -> backoff retry -> grant -> revoke -> renegotiate ->
     // revoke -> degrade -> probe -> recover, each counted.
@@ -112,12 +114,12 @@ fn chaos_adaptation_transitions_match_the_plan() {
 #[test]
 fn chaos_run_is_bit_identical_across_invocations() {
     let cfg = ChaosCfg::fast();
-    let (series_a, a, _) = chaos_run(cfg, 2048);
-    let (series_b, b, _) = chaos_run(cfg, 2048);
+    let a = chaos(cfg, &RunOpts::traced(2048));
+    let b = chaos(cfg, &RunOpts::traced(2048));
     assert_eq!(a.events, b.events, "event counts diverged");
     assert_eq!(
         a.metrics_json, b.metrics_json,
         "chaos metrics snapshot is not deterministic"
     );
-    assert_eq!(series_a.points(), series_b.points());
+    assert_eq!(a.out.series.points(), b.out.series.points());
 }

@@ -7,13 +7,13 @@
 //! figures job runs with `--fast` — so the asserted shape matches what
 //! `results/chaos_ranks/metrics.json` is generated from.
 
-use mpichgq_bench::{chaos_ranks_run, chaos_ranks_run_windowed, ChaosRanksCfg};
+use mpichgq_bench::{chaos_ranks, ChaosRanksCfg, RunOpts};
 use mpichgq_sim::SimDelta;
 
 #[test]
 fn chaos_ranks_survivors_hold_slo_through_rolling_failures() {
     let cfg = ChaosRanksCfg::fast();
-    let (_metrics, out) = chaos_ranks_run(cfg, 2048);
+    let out = chaos_ranks(cfg, &RunOpts::traced(2048)).out;
 
     // The acceptance bar: ≥90% of surviving premium pairs meet their
     // SLO through the whole plan (every pair survives — all crashed
@@ -81,7 +81,7 @@ fn chaos_ranks_metrics_expose_the_failure_ledger() {
     // The flight recorder is a bounded ring; arm it large enough that
     // the contention blaster's per-packet drop events cannot evict the
     // sparse crash/restart markers.
-    let (metrics, _out) = chaos_ranks_run(ChaosRanksCfg::fast(), 65_536);
+    let metrics = chaos_ranks(ChaosRanksCfg::fast(), &RunOpts::traced(65_536));
     for key in [
         "faults.drops.host_down",
         "faults.host_crashes",
@@ -113,9 +113,14 @@ fn chaos_ranks_metrics_expose_the_failure_ledger() {
 #[test]
 fn chaos_ranks_is_bit_identical_across_replays_and_windows() {
     let cfg = ChaosRanksCfg::fast();
-    let (a, oa) = chaos_ranks_run(cfg, 2048);
-    let (b, ob) = chaos_ranks_run(cfg, 2048);
-    let (w, ow) = chaos_ranks_run_windowed(cfg, 2048, SimDelta::from_millis(10));
+    let opts = RunOpts::traced(2048);
+    let a = chaos_ranks(cfg, &opts);
+    let b = chaos_ranks(cfg, &opts);
+    let windowed = ChaosRanksCfg {
+        window: Some(SimDelta::from_millis(10)),
+        ..cfg
+    };
+    let w = chaos_ranks(windowed, &opts);
     assert_eq!(a.events, b.events, "replay event counts diverged");
     assert_eq!(a.metrics_json, b.metrics_json, "replay snapshots diverged");
     assert_eq!(a.timeline_json, b.timeline_json);
@@ -125,6 +130,6 @@ fn chaos_ranks_is_bit_identical_across_replays_and_windows() {
     let frames = |o: &mpichgq_bench::ChaosRanksOutcome| -> Vec<u64> {
         o.scores.iter().map(|s| s.frames).collect()
     };
-    assert_eq!(frames(&oa), frames(&ob));
-    assert_eq!(frames(&oa), frames(&ow));
+    assert_eq!(frames(&a.out), frames(&b.out));
+    assert_eq!(frames(&a.out), frames(&w.out));
 }

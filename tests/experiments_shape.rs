@@ -7,15 +7,19 @@ use mpichgq_bench::*;
 use mpichgq_netsim::DepthRule;
 use mpichgq_sim::SimTime;
 
+/// Steady-state visualization bandwidth (Kb/s) of one Figure 6 point.
+fn viz_kbps(cfg: Fig6Cfg) -> f64 {
+    fig6(cfg, &RunOpts::OFF).out.achieved_kbps_steady
+}
+
 #[test]
 fn fig1_sawtooth_oscillates_below_reservation() {
     let cfg = Fig1Cfg {
         app_rate_bps: 50_000_000,
         reservation_bps: 40_000_000,
         duration: SimTime::from_secs(30),
-        ..Fig1Cfg::default()
     };
-    let s = fig1_tcp_sawtooth(cfg);
+    let s = fig1(cfg, &RunOpts::OFF).out;
     // Steady portion (skip slow start).
     let steady = s.mean_in(SimTime::from_secs(5), SimTime::from_secs(30));
     // Mean sits well below the 50 Mb/s send rate and below the reservation.
@@ -77,8 +81,8 @@ fn fig6_undersized_reservation_collapses_throughput() {
     under.duration = SimTime::from_secs(10);
     let mut adequate = Fig6Cfg::new(30_000, 10.0, 2700.0);
     adequate.duration = SimTime::from_secs(10);
-    let vu = fig6_viz_point(under);
-    let va = fig6_viz_point(adequate);
+    let vu = viz_kbps(under);
+    let va = viz_kbps(adequate);
     // "making a reservation that is even a little bit too small
     // dramatically decreases the throughput"
     assert!(
@@ -92,7 +96,7 @@ fn fig6_undersized_reservation_collapses_throughput() {
     // And no reservation at all is hopeless under contention.
     let mut none = Fig6Cfg::new(30_000, 10.0, 0.0);
     none.duration = SimTime::from_secs(10);
-    assert!(fig6_viz_point(none) < 200.0);
+    assert!(viz_kbps(none) < 200.0);
 }
 
 #[test]
@@ -119,8 +123,8 @@ fn table1_burstiness_penalty_and_large_bucket_cure() {
 #[test]
 fn fig7_traces_show_burstiness_difference() {
     let window = SimTime::from_secs(1);
-    let smooth = fig7_seq_trace(10.0, window);
-    let bursty = fig7_seq_trace(1.0, window);
+    let smooth = fig7(10.0, window, &RunOpts::OFF).out;
+    let bursty = fig7(1.0, window, &RunOpts::OFF).out;
     assert!(!smooth.is_empty() && !bursty.is_empty());
     // Both send ~400 Kb/s of data overall; the bursty one emits its
     // segments in a far smaller fraction of the time. Measure dispersion:
@@ -145,7 +149,7 @@ fn fig7_traces_show_burstiness_difference() {
 #[test]
 fn fig8_cpu_contention_and_reservation() {
     let cfg = Fig8Cfg::default();
-    let s = fig8_cpu_reservation(cfg);
+    let s = fig8(cfg, &RunOpts::OFF).out;
     let clean = phase_mean(&s, 2.0, 10.0);
     let hog = phase_mean(&s, 11.0, 20.0);
     let reserved = phase_mean(&s, 22.0, 30.0);
@@ -163,7 +167,7 @@ fn fig8_cpu_contention_and_reservation() {
 #[test]
 fn fig9_both_reservations_needed() {
     let cfg = Fig9Cfg::default();
-    let s = fig9_combined(cfg);
+    let s = fig9(cfg, &RunOpts::OFF).out;
     let clean = phase_mean(&s, 2.0, 10.0);
     let congested = phase_mean(&s, 12.0, 21.0);
     let net_reserved = phase_mean(&s, 23.0, 31.0);
@@ -220,7 +224,7 @@ fn demote_ablation_softens_the_cliff() {
         cfg.duration = SimTime::from_secs(10);
         cfg.policing_action = action;
         cfg.contention_bps = 100_000_000; // leaves best-effort headroom
-        fig6_viz_point(cfg)
+        viz_kbps(cfg)
     };
     let dropped = run(PolicingAction::Drop);
     let demoted = run(PolicingAction::Demote);

@@ -3,11 +3,9 @@
 //! sections the `metrics.json` schema promises (DESIGN.md §9), and
 //! arming the flight recorder must not perturb the simulation itself.
 
-use mpichgq_bench::{
-    fig1_tcp_sawtooth_run, fig1_tcp_sawtooth_run_timeline, fig7_seq_trace_run_timeline, Fig1Cfg,
-};
+use mpichgq_bench::{fig1, fig7, Fig1Cfg, RunOpts};
 use mpichgq_obs::{parse, FlightRecorder, Histogram, JsonWriter};
-use mpichgq_sim::{SimDelta, SimTime};
+use mpichgq_sim::SimTime;
 
 fn short_cfg() -> Fig1Cfg {
     Fig1Cfg {
@@ -18,19 +16,19 @@ fn short_cfg() -> Fig1Cfg {
 
 #[test]
 fn fig1_metrics_snapshot_is_deterministic() {
-    let (series_a, a) = fig1_tcp_sawtooth_run(short_cfg(), 256);
-    let (series_b, b) = fig1_tcp_sawtooth_run(short_cfg(), 256);
+    let a = fig1(short_cfg(), &RunOpts::traced(256));
+    let b = fig1(short_cfg(), &RunOpts::traced(256));
     assert_eq!(a.events, b.events, "event counts diverged between runs");
     assert_eq!(
         a.metrics_json, b.metrics_json,
         "metrics snapshot is not deterministic"
     );
-    assert_eq!(series_a.points(), series_b.points());
+    assert_eq!(a.out.points(), b.out.points());
 }
 
 #[test]
 fn fig1_metrics_carry_the_documented_schema() {
-    let (_, m) = fig1_tcp_sawtooth_run(short_cfg(), 256);
+    let m = fig1(short_cfg(), &RunOpts::traced(256));
     let j = &m.metrics_json;
     for key in [
         "\"counters\"",
@@ -65,13 +63,13 @@ fn fig1_metrics_carry_the_documented_schema() {
 
 #[test]
 fn arming_the_flight_recorder_does_not_perturb_the_simulation() {
-    let (series_off, off) = fig1_tcp_sawtooth_run(short_cfg(), 0);
-    let (series_on, on) = fig1_tcp_sawtooth_run(short_cfg(), 1024);
+    let off = fig1(short_cfg(), &RunOpts::OFF);
+    let on = fig1(short_cfg(), &RunOpts::traced(1024));
     assert_eq!(
         off.events, on.events,
         "tracing changed the number of simulated events"
     );
-    assert_eq!(series_off.points(), series_on.points());
+    assert_eq!(off.out.points(), on.out.points());
     // The disabled run still publishes counters (they are always live) but
     // records no trace events, no histograms, and no SLO section.
     assert!(off.metrics_json.contains("\"recorded\":0"));
@@ -86,9 +84,8 @@ fn arming_the_flight_recorder_does_not_perturb_the_simulation() {
 /// while carrying the series the instrumented layers promise.
 #[test]
 fn fig1_timeline_is_byte_stable_and_passes_qtop_check() {
-    let interval = Some(SimDelta::from_millis(100));
-    let (_, a) = fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, interval);
-    let (_, b) = fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, interval);
+    let a = fig1(short_cfg(), &RunOpts::traced(256));
+    let b = fig1(short_cfg(), &RunOpts::traced(256));
     let ta = a.timeline_json.expect("sampling was armed");
     let tb = b.timeline_json.expect("sampling was armed");
     assert_eq!(ta, tb, "timeline snapshot is not byte-stable");
@@ -120,11 +117,17 @@ fn fig1_timeline_is_byte_stable_and_passes_qtop_check() {
 /// event count — is bit-identical to a sampled run's.
 #[test]
 fn sampling_off_is_bit_identical_for_fig1() {
-    let (series_off, off) = fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, None);
-    let (series_on, on) =
-        fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, Some(SimDelta::from_millis(100)));
+    let on_opts = RunOpts::traced(256);
+    let off = fig1(
+        short_cfg(),
+        &RunOpts {
+            timeline: None,
+            ..on_opts
+        },
+    );
+    let on = fig1(short_cfg(), &on_opts);
     assert_eq!(off.events, on.events, "sampling changed the event count");
-    assert_eq!(series_off.points(), series_on.points());
+    assert_eq!(off.out.points(), on.out.points());
     assert_eq!(off.metrics_json, on.metrics_json);
     assert_eq!(off.trace_json, on.trace_json);
     assert!(off.timeline_json.is_none());
@@ -134,11 +137,18 @@ fn sampling_off_is_bit_identical_for_fig1() {
 #[test]
 fn sampling_off_is_bit_identical_for_fig7() {
     let window = SimTime::from_secs(4);
-    let (series_off, off) = fig7_seq_trace_run_timeline(30.0, window, 256, None);
-    let (series_on, on) =
-        fig7_seq_trace_run_timeline(30.0, window, 256, Some(SimDelta::from_millis(100)));
+    let on_opts = RunOpts::traced(256);
+    let off = fig7(
+        30.0,
+        window,
+        &RunOpts {
+            timeline: None,
+            ..on_opts
+        },
+    );
+    let on = fig7(30.0, window, &on_opts);
     assert_eq!(off.events, on.events, "sampling changed the event count");
-    assert_eq!(series_off.points(), series_on.points());
+    assert_eq!(off.out.points(), on.out.points());
     assert_eq!(off.metrics_json, on.metrics_json);
     assert_eq!(off.trace_json, on.trace_json);
     assert!(off.timeline_json.is_none());

@@ -15,7 +15,7 @@
 //! engine in `crates/netsim/src/shard.rs`.
 
 use mpichgq::qcheck::{run_par_scenario, run_spec, run_spec_threads, Inject, ScenarioSpec};
-use mpichgq_bench::{fig1_tcp_sawtooth_run, fig7_seq_trace_run, Fig1Cfg};
+use mpichgq_bench::{fig1, fig7, Fig1Cfg, RunOpts};
 use mpichgq_sim::SimTime;
 
 /// Run `f` with `MPICHGQ_THREADS` set to `threads`, restoring the
@@ -39,9 +39,13 @@ fn fig1_is_bit_identical_under_the_windowed_schedule() {
         duration: SimTime::from_secs(5),
         ..Fig1Cfg::default()
     };
-    let (plain_ts, plain_m) = with_threads(1, || fig1_tcp_sawtooth_run(cfg(), 256));
-    let (par_ts, par_m) = with_threads(4, || fig1_tcp_sawtooth_run(cfg(), 256));
-    assert_eq!(plain_ts.to_csv(), par_ts.to_csv(), "fig1 CSV diverged");
+    let plain_m = with_threads(1, || fig1(cfg(), &RunOpts::traced(256)));
+    let par_m = with_threads(4, || fig1(cfg(), &RunOpts::traced(256)));
+    assert_eq!(
+        plain_m.out.to_csv(),
+        par_m.out.to_csv(),
+        "fig1 CSV diverged"
+    );
     assert_eq!(plain_m.events, par_m.events, "fig1 event count diverged");
     assert_eq!(
         plain_m.metrics_json, par_m.metrics_json,
@@ -52,9 +56,13 @@ fn fig1_is_bit_identical_under_the_windowed_schedule() {
 #[test]
 fn fig7_is_bit_identical_under_the_windowed_schedule() {
     let window = SimTime::from_secs(4);
-    let (plain_ts, plain_m) = with_threads(1, || fig7_seq_trace_run(30.0, window, 256));
-    let (par_ts, par_m) = with_threads(4, || fig7_seq_trace_run(30.0, window, 256));
-    assert_eq!(plain_ts.to_csv(), par_ts.to_csv(), "fig7 CSV diverged");
+    let plain_m = with_threads(1, || fig7(30.0, window, &RunOpts::traced(256)));
+    let par_m = with_threads(4, || fig7(30.0, window, &RunOpts::traced(256)));
+    assert_eq!(
+        plain_m.out.to_csv(),
+        par_m.out.to_csv(),
+        "fig7 CSV diverged"
+    );
     assert_eq!(plain_m.events, par_m.events, "fig7 event count diverged");
     assert_eq!(
         plain_m.metrics_json, par_m.metrics_json,

@@ -11,7 +11,7 @@
 use mpichgq::qcheck::{
     audit_metrics_json, parse_repro, replay, repro_json, run_spec, shrink, Inject, ScenarioSpec,
 };
-use mpichgq_bench::{chaos_run, fig1_tcp_sawtooth_run, fig7_seq_trace_run, ChaosCfg, Fig1Cfg};
+use mpichgq_bench::{chaos, fig1, fig7, ChaosCfg, Fig1Cfg, RunOpts};
 use mpichgq_sim::SimTime;
 
 fn fig1_cfg() -> Fig1Cfg {
@@ -23,21 +23,21 @@ fn fig1_cfg() -> Fig1Cfg {
 
 #[test]
 fn fig1_snapshot_satisfies_the_conservation_battery() {
-    let (_, m) = fig1_tcp_sawtooth_run(fig1_cfg(), 256);
+    let m = fig1(fig1_cfg(), &RunOpts::traced(256));
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(viols.is_empty(), "fig1 snapshot violations: {viols:?}");
 }
 
 #[test]
 fn fig7_snapshot_satisfies_the_conservation_battery() {
-    let (_, m) = fig7_seq_trace_run(10.0, SimTime::from_secs(3), 256);
+    let m = fig7(10.0, SimTime::from_secs(3), &RunOpts::traced(256));
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(viols.is_empty(), "fig7 snapshot violations: {viols:?}");
 }
 
 #[test]
 fn chaos_snapshot_satisfies_the_conservation_battery() {
-    let (_, m, _) = chaos_run(ChaosCfg::fast(), 2048);
+    let m = chaos(ChaosCfg::fast(), &RunOpts::traced(2048));
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(viols.is_empty(), "chaos snapshot violations: {viols:?}");
 }
