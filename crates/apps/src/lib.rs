@@ -9,12 +9,14 @@
 //!   reservation timelines of Figures 8–9);
 //! * [`stencil`] — the §3 motivating finite-difference application: halo
 //!   exchange across two sites through a two-party intercommunicator;
-//! * [`qtrace`] — offline analysis of packet-lifecycle Chrome traces (the
-//!   `qtrace` binary: flow latency tables, per-hop delay decomposition,
-//!   SLO reports);
-//! * [`qtop`] — offline analysis of sampled timeline documents (the
-//!   `qtop` binary: per-series summary tables, SLO burn-rate report,
-//!   peak attribution, and the `--check` CI shape gate).
+//! * [`qtrace`] — offline analysis of packet-lifecycle Chrome traces
+//!   (flow latency tables, per-hop delay decomposition, SLO reports);
+//! * [`qtop`] — offline analysis of sampled timeline documents, read
+//!   through `Timeline::from_json` (per-series summary tables, SLO
+//!   burn-rate report, peak attribution).
+//!
+//! The `qreport` binary serves both: it picks the reader from the
+//! document's top-level key and adds the `--check` CI shape gate.
 
 pub mod pingpong;
 pub mod qtop;

@@ -11,224 +11,62 @@
 //!   above the alert threshold),
 //! * peak attribution: when each hot series hit its maximum.
 //!
-//! [`summarize`] produces the report; [`check`] validates the document's
-//! shape for CI (the `qtop --check` gate). Both are deterministic:
+//! Both [`summarize`] and [`check`] read the document through
+//! [`Timeline::from_json`], the format's one decoder; `check` is the
+//! `qreport --check` CI gate for timelines. Both are deterministic:
 //! identical input bytes produce identical output bytes (stable sort
 //! keys, shortest-round-trip float formatting), so reports can be
 //! snapshot-tested.
 
-use mpichgq_obs::parse;
+use crate::qtrace::{bound, fmt_ns};
+use mpichgq_obs::Timeline;
 
-/// Series flavor, mirroring `obs::timeseries::SeriesKind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-}
-
-/// One decoded series: absolute timestamps plus counter or gauge values.
-struct SeriesView {
-    name: String,
-    kind: Kind,
-    t: Vec<u64>,
-    u: Vec<u64>,
-    f: Vec<f64>,
-}
-
-/// Validate a timeline document's structure. Returns every problem found
-/// (empty vector = conformant). This is the `qtop --check` CI gate.
-///
-/// Checked invariants: version tag, positive sampling interval,
-/// name-sorted non-empty series map, per-series delta arrays of matching
-/// length with strictly positive time deltas (timestamps strictly
-/// increase), and non-negative counter deltas (counters are monotone).
+/// Validate a timeline document ([`Timeline::from_json`]'s rules).
+/// Returns every problem found. This is the `qreport --check` CI gate
+/// for timelines.
 pub fn check(json: &str) -> Result<(), Vec<String>> {
-    let mut errs = Vec::new();
-    let doc = match parse(json) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
-    };
-    if doc.get("timeline").and_then(|v| v.as_u64()) != Some(1) {
-        errs.push("missing or unknown timeline version (want 1)".into());
-    }
-    match doc.get("interval_ns").and_then(|v| v.as_u64()) {
-        Some(i) if i > 0 => {}
-        _ => errs.push("interval_ns missing or zero".into()),
-    }
-    let Some(series) = doc.get("series").and_then(|v| v.members()) else {
-        errs.push("missing series object".into());
-        return Err(errs);
-    };
-    if series.is_empty() {
-        errs.push("series object is empty (sampler never ticked?)".into());
-    }
-    for pair in series.windows(2) {
-        if pair[0].0 >= pair[1].0 {
-            errs.push(format!(
-                "series names not strictly sorted: {:?} then {:?}",
-                pair[0].0, pair[1].0
-            ));
-        }
-    }
-    for (name, s) in series {
-        let kind = match s.get("kind").and_then(|v| v.as_str()) {
-            Some("counter") => Kind::Counter,
-            Some("gauge") => Kind::Gauge,
-            other => {
-                errs.push(format!("series {name}: unknown kind {other:?}"));
-                continue;
-            }
-        };
-        let Some(dt) = s.get("dt_ns").and_then(|v| v.as_array()) else {
-            errs.push(format!("series {name}: missing dt_ns"));
-            continue;
-        };
-        let t0 = s.get("t0_ns").and_then(|v| v.as_u64());
-        if t0.is_none() {
-            errs.push(format!("series {name}: empty (null t0_ns)"));
-            continue;
-        }
-        if dt.iter().any(|d| !matches!(d.as_u64(), Some(d) if d > 0)) {
-            errs.push(format!(
-                "series {name}: dt_ns has a non-positive entry (timestamps must strictly increase)"
-            ));
-        }
-        match kind {
-            Kind::Counter => {
-                if s.get("v0").and_then(|v| v.as_u64()).is_none() {
-                    errs.push(format!("series {name}: counter without v0"));
-                }
-                match s.get("dv").and_then(|v| v.as_array()) {
-                    None => errs.push(format!("series {name}: counter without dv")),
-                    Some(dv) => {
-                        if dv.len() != dt.len() {
-                            errs.push(format!(
-                                "series {name}: dv length {} != dt_ns length {}",
-                                dv.len(),
-                                dt.len()
-                            ));
-                        }
-                        if dv.iter().any(|d| d.as_u64().is_none()) {
-                            errs.push(format!(
-                                "series {name}: dv has a negative or non-integer entry \
-                                 (counters are monotone)"
-                            ));
-                        }
-                    }
-                }
-            }
-            Kind::Gauge => match s.get("values").and_then(|v| v.as_array()) {
-                None => errs.push(format!("series {name}: gauge without values")),
-                Some(vals) => {
-                    if vals.len() != dt.len() + 1 {
-                        errs.push(format!(
-                            "series {name}: values length {} != sample count {}",
-                            vals.len(),
-                            dt.len() + 1
-                        ));
-                    }
-                    if vals.iter().any(|v| v.as_f64().is_none()) {
-                        errs.push(format!("series {name}: non-numeric gauge value"));
-                    }
-                }
-            },
-        }
-    }
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
-
-/// Decode the document into `(interval_ns, series)` with absolute
-/// timestamps and values reconstructed from the delta encoding.
-fn decode(json: &str) -> Result<(u64, Vec<SeriesView>), String> {
-    let doc = parse(json)?;
-    let interval = doc
-        .get("interval_ns")
-        .and_then(|v| v.as_u64())
-        .ok_or("missing interval_ns")?;
-    let members = doc
-        .get("series")
-        .and_then(|v| v.members())
-        .ok_or("missing series object")?;
-    let mut out = Vec::with_capacity(members.len());
-    for (name, s) in members {
-        let kind = match s.get("kind").and_then(|v| v.as_str()) {
-            Some("counter") => Kind::Counter,
-            Some("gauge") => Kind::Gauge,
-            other => return Err(format!("series {name}: unknown kind {other:?}")),
-        };
-        let mut view = SeriesView {
-            name: name.clone(),
-            kind,
-            t: Vec::new(),
-            u: Vec::new(),
-            f: Vec::new(),
-        };
-        if let Some(t0) = s.get("t0_ns").and_then(|v| v.as_u64()) {
-            view.t.push(t0);
-            for d in s.get("dt_ns").and_then(|v| v.as_array()).unwrap_or(&[]) {
-                let d = d.as_u64().ok_or_else(|| format!("series {name}: bad dt"))?;
-                view.t.push(view.t.last().unwrap() + d);
-            }
-            match kind {
-                Kind::Counter => {
-                    let v0 = s
-                        .get("v0")
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| format!("series {name}: counter without v0"))?;
-                    view.u.push(v0);
-                    for d in s.get("dv").and_then(|v| v.as_array()).unwrap_or(&[]) {
-                        let d = d.as_u64().ok_or_else(|| format!("series {name}: bad dv"))?;
-                        view.u.push(view.u.last().unwrap() + d);
-                    }
-                    if view.u.len() != view.t.len() {
-                        return Err(format!("series {name}: counter length mismatch"));
-                    }
-                }
-                Kind::Gauge => {
-                    for v in s.get("values").and_then(|v| v.as_array()).unwrap_or(&[]) {
-                        view.f.push(
-                            v.as_f64()
-                                .ok_or_else(|| format!("series {name}: bad gauge value"))?,
-                        );
-                    }
-                    if view.f.len() != view.t.len() {
-                        return Err(format!("series {name}: gauge length mismatch"));
-                    }
-                }
-            }
-        }
-        out.push(view);
-    }
-    Ok((interval, out))
+    Timeline::from_json(json).map(|_| ())
 }
 
 /// Render the timeline report. `top` bounds each ranked table (0 = all).
 pub fn summarize(json: &str, top: usize) -> Result<String, String> {
-    let (interval, series) = decode(json)?;
-    let max_samples = series.iter().map(|s| s.t.len()).max().unwrap_or(0);
-    let t_min = series.iter().filter_map(|s| s.t.first()).min().copied();
-    let t_max = series.iter().filter_map(|s| s.t.last()).max().copied();
+    let tl = Timeline::from_json(json).map_err(|errs| errs.join("; "))?;
+    let mut counters: Vec<(&str, &[u64], &[u64])> = Vec::new();
+    let mut gauges: Vec<(&str, &[u64], &[f64])> = Vec::new();
+    for name in tl.names() {
+        match (tl.counter(name), tl.gauge(name)) {
+            (Some((t, v)), _) => counters.push((name, t, v)),
+            (_, Some((t, v))) => gauges.push((name, t, v)),
+            _ => {}
+        }
+    }
+    let times = || {
+        counters
+            .iter()
+            .map(|c| c.1)
+            .chain(gauges.iter().map(|g| g.1))
+    };
+    let max_samples = times().map(<[u64]>::len).max().unwrap_or(0);
+    let t_min = times().filter_map(|t| t.first()).min();
+    let t_max = times().filter_map(|t| t.last()).max();
     let span = match (t_min, t_max) {
         (Some(a), Some(b)) => b - a,
         _ => 0,
     };
+    let interval = tl.interval_ns();
     let mut out = String::new();
     out.push_str(&format!(
         "timeline: {} series, {} samples max, interval {}, span {}\n",
-        series.len(),
+        tl.series_count(),
         max_samples,
         fmt_ns(interval),
         fmt_ns(span),
     ));
 
     // --- Counters by total increase --------------------------------------
-    let mut counters: Vec<&SeriesView> =
-        series.iter().filter(|s| s.kind == Kind::Counter).collect();
-    counters.sort_by(|a, b| total(b).cmp(&total(a)).then(a.name.cmp(&b.name)));
+    // Decoded counters are monotone, so these differences cannot wrap.
+    let total = |v: &[u64]| v.last().map_or(0, |l| l - v[0]);
+    counters.sort_by(|a, b| total(b.2).cmp(&total(a.2)).then(a.0.cmp(b.0)));
     let shown = bound(top, counters.len());
     if shown > 0 {
         out.push_str(&format!(
@@ -238,26 +76,21 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
         out.push_str(
             "  series                                 samples       last      total  max_step\n",
         );
-        for s in counters.iter().take(shown) {
-            let max_step = s.u.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        for &(name, t, v) in counters.iter().take(shown) {
+            let max_step = v.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
             out.push_str(&format!(
                 "  {:<38} {:>7} {:>10} {:>10} {:>9}\n",
-                s.name,
-                s.t.len(),
-                s.u.last().copied().unwrap_or(0),
-                total(s),
+                name,
+                t.len(),
+                v.last().copied().unwrap_or(0),
+                total(v),
                 max_step,
             ));
         }
     }
 
     // --- Gauges by peak ---------------------------------------------------
-    let mut gauges: Vec<&SeriesView> = series.iter().filter(|s| s.kind == Kind::Gauge).collect();
-    gauges.sort_by(|a, b| {
-        peak(b)
-            .total_cmp(&peak(a))
-            .then_with(|| a.name.cmp(&b.name))
-    });
+    gauges.sort_by(|a, b| peak(b.2).total_cmp(&peak(a.2)).then_with(|| a.0.cmp(b.0)));
     let shown = bound(top, gauges.len());
     if shown > 0 {
         out.push_str(&format!(
@@ -267,14 +100,14 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
         out.push_str(
             "  series                                 samples       last       peak  at\n",
         );
-        for s in gauges.iter().take(shown) {
-            let (pv, pt) = peak_at(s);
+        for &(name, t, v) in gauges.iter().take(shown) {
+            let (pv, pt) = peak_at(t, v);
             out.push_str(&format!(
                 "  {:<38} {:>7} {:>10} {:>10}  {}\n",
-                s.name,
-                s.t.len(),
-                fmt_f64(s.f.last().copied().unwrap_or(0.0)),
-                fmt_f64(pv),
+                name,
+                t.len(),
+                v.last().copied().unwrap_or(0.0),
+                pv,
                 fmt_ns(pt),
             ));
         }
@@ -282,24 +115,20 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
 
     // --- SLO burn-rate report ---------------------------------------------
     out.push_str("\nSLO burn rate:\n");
-    match series.iter().find(|s| s.name == "slo.misses") {
-        Some(m) => out.push_str(&format!(
-            "  slo.misses: {} total\n",
-            m.u.last().copied().unwrap_or(0)
-        )),
+    match tl.last_counter("slo.misses") {
+        Some(m) => out.push_str(&format!("  slo.misses: {m} total\n")),
         None => out.push_str("  slo.misses: series absent (no deadline tracking)\n"),
     }
     let mut any_burn = false;
     for (label, name) in [("fast", "slo.burn.fast"), ("slow", "slo.burn.slow")] {
-        if let Some(s) = series.iter().find(|s| s.name == name) {
+        if let Some((t, v)) = tl.gauge(name) {
             any_burn = true;
-            let (pv, pt) = peak_at(s);
-            let hot = s.f.iter().filter(|&&v| v >= 1.0).count();
+            let (pv, pt) = peak_at(t, v);
+            let hot = v.iter().filter(|&&x| x >= 1.0).count();
             out.push_str(&format!(
-                "  {label} window: peak {}x budget at {}; {hot} sample(s) >= 1.0x (~{})\n",
-                fmt_f64(pv),
+                "  {label} window: peak {pv}x budget at {}; {hot} sample(s) >= 1.0x (~{})\n",
                 fmt_ns(pt),
-                fmt_ns(hot as u64 * interval),
+                fmt_ns((hot as u64).saturating_mul(interval)),
             ));
         }
     }
@@ -309,61 +138,16 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
     Ok(out)
 }
 
-/// Total increase of a counter over the run.
-fn total(s: &SeriesView) -> u64 {
-    match (s.u.first(), s.u.last()) {
-        (Some(a), Some(b)) => b - a,
-        _ => 0,
-    }
-}
-
 /// Peak value of a gauge (0.0 when empty).
-fn peak(s: &SeriesView) -> f64 {
-    s.f.iter().copied().fold(0.0f64, f64::max)
+fn peak(v: &[f64]) -> f64 {
+    v.iter().copied().fold(0.0f64, f64::max)
 }
 
 /// Peak gauge value and the timestamp of its first occurrence.
-fn peak_at(s: &SeriesView) -> (f64, u64) {
-    let p = peak(s);
-    let at =
-        s.f.iter()
-            .position(|&v| v == p)
-            .and_then(|i| s.t.get(i))
-            .copied()
-            .unwrap_or(0);
+fn peak_at(t: &[u64], v: &[f64]) -> (f64, u64) {
+    let p = peak(v);
+    let at = v.iter().position(|&x| x == p).map_or(0, |i| t[i]);
     (p, at)
-}
-
-/// Table row bound: `top == 0` means all rows.
-fn bound(top: usize, len: usize) -> usize {
-    if top == 0 {
-        len
-    } else {
-        top.min(len)
-    }
-}
-
-/// Format a gauge value with Rust's shortest-round-trip float display
-/// (deterministic, byte-stable).
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
-}
-
-/// Format nanoseconds with an SI unit, integer math only (byte-stable).
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!(
-            "{}.{:03}s",
-            ns / 1_000_000_000,
-            (ns % 1_000_000_000) / 1_000_000
-        )
-    } else if ns >= 1_000_000 {
-        format!("{}.{:03}ms", ns / 1_000_000, (ns % 1_000_000) / 1_000)
-    } else if ns >= 1_000 {
-        format!("{}.{:03}us", ns / 1_000, ns % 1_000)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 #[cfg(test)]
@@ -408,6 +192,16 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("non-positive entry")));
         assert!(errs.iter().any(|e| e.contains("dv length")));
         assert!(errs.iter().any(|e| e.contains("empty (null t0_ns)")));
+    }
+
+    /// Undoing the delta encoding past `u64::MAX` is an error for both
+    /// entry points, not an arithmetic panic.
+    #[test]
+    fn overflowing_timestamps_are_an_error_not_a_panic() {
+        let json = r#"{"timeline":1,"interval_ns":1,"series":{"a":{"kind":"counter","t0_ns":18446744073709551615,"dt_ns":[1],"v0":0,"dv":[1]}}}"#;
+        let errs = check(json).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("dt_ns overflows u64")));
+        assert!(summarize(json, 0).is_err());
     }
 
     #[test]

@@ -10,48 +10,44 @@
 //! * the SLO report (deadlines, misses, worst streaks).
 //!
 //! [`summarize`] produces the report; [`check`] validates the document's
-//! shape for CI. Both are deterministic: identical input bytes produce
+//! shape for CI (the `qreport --check` gate for traces). Both return an
+//! error on a hostile document rather than panic (sums are checked), and
+//! both are deterministic: identical input bytes produce
 //! identical output bytes (integer-only formatting, stable sort keys), so
 //! the report can be snapshot-tested.
 
 use mpichgq_obs::{parse, JsonValue};
 use std::collections::BTreeMap;
 
-/// Per-channel accumulated hop timing (from complete spans).
-#[derive(Debug, Default, Clone, Copy)]
-struct HopAgg {
-    queue_ns: u64,
-    queue_n: u64,
-    tx_ns: u64,
-    tx_n: u64,
-    wire_ns: u64,
-    wire_n: u64,
+/// The `u64` at `path` below `v`, if every key exists and the leaf is one.
+fn num(v: &JsonValue, path: &[&str]) -> Option<u64> {
+    path.iter().try_fold(v, |v, k| v.get(k))?.as_u64()
+}
+
+/// The string member `key` of `v`, if present.
+fn text<'a>(v: &'a JsonValue, key: &str) -> Option<&'a str> {
+    v.get(key)?.as_str()
 }
 
 /// Validate a trace document's structure. Returns every problem found
-/// (empty vector = conformant). This is the `qtrace --check` CI gate.
+/// (empty vector = conformant). This is the `qreport --check` CI gate.
 pub fn check(json: &str) -> Result<(), Vec<String>> {
     let mut errs = Vec::new();
-    let doc = match parse(json) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
-    };
-    let Some(events) = doc.get("traceEvents").and_then(|v| v.as_array()) else {
+    let doc = parse(json).map_err(|e| vec![format!("not valid JSON: {e}")])?;
+    let Some(events) = doc.get("traceEvents").and_then(JsonValue::as_array) else {
         return Err(vec!["missing traceEvents array".into()]);
     };
     let mut named_pids: Vec<u64> = Vec::new();
     let mut used_pids: Vec<u64> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev.get("ph").and_then(|v| v.as_str()).unwrap_or("");
-        let pid = ev.get("pid").and_then(|v| v.as_u64());
-        if ev.get("name").and_then(|v| v.as_str()).is_none() {
+        if text(ev, "name").is_none() {
             errs.push(format!("event {i}: missing name"));
         }
-        let Some(pid) = pid else {
+        let Some(pid) = num(ev, &["pid"]) else {
             errs.push(format!("event {i}: missing pid"));
             continue;
         };
-        match ph {
+        match text(ev, "ph").unwrap_or("") {
             "M" => named_pids.push(pid),
             "X" => {
                 used_pids.push(pid);
@@ -62,7 +58,7 @@ pub fn check(json: &str) -> Result<(), Vec<String>> {
             }
             "i" => {
                 used_pids.push(pid);
-                if ev.get("s").and_then(|v| v.as_str()) != Some("p") {
+                if text(ev, "s") != Some("p") {
                     errs.push(format!("event {i}: instant without process scope"));
                 }
                 check_args(ev, i, &mut errs);
@@ -76,53 +72,51 @@ pub fn check(json: &str) -> Result<(), Vec<String>> {
             errs.push(format!("pid {pid} has events but no process_name metadata"));
         }
     }
-    if doc.get("displayTimeUnit").and_then(|v| v.as_str()) != Some("ms") {
+    if text(&doc, "displayTimeUnit") != Some("ms") {
         errs.push("displayTimeUnit is not \"ms\"".into());
     }
-    match doc.get("otherData") {
-        None => errs.push("missing otherData summary block".into()),
-        Some(od) => {
-            if od.get("spans_dropped").and_then(|v| v.as_u64()).is_none() {
-                errs.push("otherData.spans_dropped missing".into());
-            }
-            let mut misses_sum = 0u64;
-            match od.get("flows").and_then(|v| v.as_array()) {
-                None => errs.push("otherData.flows missing".into()),
-                Some(flows) => {
-                    for f in flows {
-                        let name = f.get("flow").and_then(|v| v.as_str()).unwrap_or("?");
-                        let delivered = f.get("delivered").and_then(|v| v.as_u64());
-                        match delivered {
-                            None => errs.push(format!("flow {name}: missing delivered")),
-                            Some(d) => {
-                                let hist_count = f
-                                    .get("delay_ns")
-                                    .and_then(|h| h.get("count"))
-                                    .and_then(|v| v.as_u64());
-                                if hist_count != Some(d) {
-                                    errs.push(format!(
-                                        "flow {name}: delay histogram count {hist_count:?} != delivered {d}"
-                                    ));
-                                }
-                            }
-                        }
-                        misses_sum += f.get("misses").and_then(|v| v.as_u64()).unwrap_or(0);
-                        if f.get("jitter_ns").is_none() {
-                            errs.push(format!("flow {name}: missing jitter histogram"));
+    let Some(od) = doc.get("otherData") else {
+        errs.push("missing otherData summary block".into());
+        return Err(errs);
+    };
+    if num(od, &["spans_dropped"]).is_none() {
+        errs.push("otherData.spans_dropped missing".into());
+    }
+    let mut misses_sum = 0u64;
+    match od.get("flows").and_then(JsonValue::as_array) {
+        None => errs.push("otherData.flows missing".into()),
+        Some(flows) => {
+            for f in flows {
+                let name = text(f, "flow").unwrap_or("?");
+                match num(f, &["delivered"]) {
+                    None => errs.push(format!("flow {name}: missing delivered")),
+                    Some(d) => {
+                        let hist_count = num(f, &["delay_ns", "count"]);
+                        if hist_count != Some(d) {
+                            errs.push(format!(
+                                "flow {name}: delay histogram count {hist_count:?} != delivered {d}"
+                            ));
                         }
                     }
                 }
-            }
-            match od.get("slo") {
-                None => errs.push("otherData.slo missing".into()),
-                Some(slo) => {
-                    let total = slo.get("total_misses").and_then(|v| v.as_u64());
-                    if total != Some(misses_sum) {
-                        errs.push(format!(
-                            "slo.total_misses {total:?} != sum of per-flow misses {misses_sum}"
-                        ));
-                    }
+                match misses_sum.checked_add(num(f, &["misses"]).unwrap_or(0)) {
+                    Some(s) => misses_sum = s,
+                    None => errs.push(format!("flow {name}: misses overflow u64")),
                 }
+                if f.get("jitter_ns").is_none() {
+                    errs.push(format!("flow {name}: missing jitter histogram"));
+                }
+            }
+        }
+    }
+    match od.get("slo") {
+        None => errs.push("otherData.slo missing".into()),
+        Some(slo) => {
+            let total = num(slo, &["total_misses"]);
+            if total != Some(misses_sum) {
+                errs.push(format!(
+                    "slo.total_misses {total:?} != sum of per-flow misses {misses_sum}"
+                ));
             }
         }
     }
@@ -139,70 +133,58 @@ fn check_args(ev: &JsonValue, i: usize, errs: &mut Vec<String>) {
         return;
     };
     for k in ["pkt", "ts_ns", "dur_ns"] {
-        if args.get(k).and_then(|v| v.as_u64()).is_none() {
+        if num(args, &[k]).is_none() {
             errs.push(format!("event {i}: args.{k} missing"));
         }
     }
-    if args.get("flow").and_then(|v| v.as_str()).is_none() {
+    if text(args, "flow").is_none() {
         errs.push(format!("event {i}: args.flow missing"));
     }
 }
+
+/// Why [`summarize`] refuses a trace whose span durations sum past
+/// `u64::MAX` nanoseconds.
+const OVERFLOW: &str = "span durations overflow u64";
 
 /// Render the trace report. `top` bounds the flow table (0 = all flows).
 pub fn summarize(json: &str, top: usize) -> Result<String, String> {
     let doc = parse(json)?;
     let events = doc
         .get("traceEvents")
-        .and_then(|v| v.as_array())
+        .and_then(JsonValue::as_array)
         .ok_or("missing traceEvents array")?;
 
     // pid -> process name, from metadata events.
     let mut pid_names: BTreeMap<u64, &str> = BTreeMap::new();
-    for ev in events {
-        if ev.get("ph").and_then(|v| v.as_str()) == Some("M") {
-            if let (Some(pid), Some(name)) = (
-                ev.get("pid").and_then(|v| v.as_u64()),
-                ev.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(|v| v.as_str()),
-            ) {
-                pid_names.insert(pid, name);
-            }
+    for ev in events.iter().filter(|ev| text(ev, "ph") == Some("M")) {
+        if let (Some(pid), Some(name)) = (
+            num(ev, &["pid"]),
+            ev.get("args").and_then(|a| text(a, "name")),
+        ) {
+            pid_names.insert(pid, name);
         }
     }
 
-    // Per-channel hop decomposition and instant-event counts.
-    let mut hops: BTreeMap<u64, HopAgg> = BTreeMap::new();
+    // Per-channel hop decomposition — (queue, tx, wire) nanoseconds and
+    // the tx span count — and instant-event counts.
+    let mut hops: BTreeMap<u64, ([u64; 3], u64)> = BTreeMap::new();
     let mut instants: BTreeMap<&str, u64> = BTreeMap::new();
     let mut span_events = 0u64;
     for ev in events {
-        let ph = ev.get("ph").and_then(|v| v.as_str()).unwrap_or("");
-        let name = ev.get("name").and_then(|v| v.as_str()).unwrap_or("");
-        let dur = ev
-            .get("args")
-            .and_then(|a| a.get("dur_ns"))
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        let pid = ev.get("pid").and_then(|v| v.as_u64()).unwrap_or(0);
-        match ph {
+        let name = text(ev, "name").unwrap_or("");
+        match text(ev, "ph").unwrap_or("") {
             "X" => {
                 span_events += 1;
-                let agg = hops.entry(pid).or_default();
-                match name {
-                    "queue" => {
-                        agg.queue_ns += dur;
-                        agg.queue_n += 1;
-                    }
-                    "tx" => {
-                        agg.tx_ns += dur;
-                        agg.tx_n += 1;
-                    }
-                    "wire" => {
-                        agg.wire_ns += dur;
-                        agg.wire_n += 1;
-                    }
-                    _ => {}
-                }
+                let (ns, tx_n) = hops.entry(num(ev, &["pid"]).unwrap_or(0)).or_default();
+                let hop = match name {
+                    "queue" => 0,
+                    "tx" => 1,
+                    "wire" => 2,
+                    _ => continue,
+                };
+                let dur = num(ev, &["args", "dur_ns"]).unwrap_or(0);
+                ns[hop] = ns[hop].checked_add(dur).ok_or(OVERFLOW)?;
+                *tx_n += (hop == 1) as u64;
             }
             "i" => {
                 span_events += 1;
@@ -213,37 +195,24 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
     }
 
     let mut out = String::new();
-    let od = doc.get("otherData");
-    let dropped = od
-        .and_then(|o| o.get("spans_dropped"))
-        .and_then(|v| v.as_u64())
-        .unwrap_or(0);
+    let od = doc.get("otherData").unwrap_or(&JsonValue::Null);
+    let dropped = num(od, &["spans_dropped"]).unwrap_or(0);
     out.push_str(&format!(
         "trace: {span_events} lifecycle events ({dropped} spans dropped at capture)\n"
     ));
 
     // --- Flow table, ranked by p99 one-way delay -------------------------
-    let flows = od.and_then(|o| o.get("flows")).and_then(|v| v.as_array());
-    if let Some(flows) = flows {
+    if let Some(flows) = od.get("flows").and_then(JsonValue::as_array) {
         // (p99, name, row) — sort desc by p99, then name for determinism.
         let mut rows: Vec<(u64, &str, &JsonValue)> = flows
             .iter()
             .map(|f| {
-                let name = f.get("flow").and_then(|v| v.as_str()).unwrap_or("?");
-                let p99 = f
-                    .get("delay_ns")
-                    .and_then(|h| h.get("p99"))
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0);
-                (p99, name, f)
+                let p99 = num(f, &["delay_ns", "p99"]).unwrap_or(0);
+                (p99, text(f, "flow").unwrap_or("?"), f)
             })
             .collect();
         rows.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
-        let shown = if top == 0 {
-            rows.len()
-        } else {
-            top.min(rows.len())
-        };
+        let shown = bound(top, rows.len());
         out.push_str(&format!(
             "\nflows by p99 one-way delay ({shown} of {}):\n",
             rows.len()
@@ -252,66 +221,56 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
             "  flow                              delivered      p50      p90      p99    worst\n",
         );
         for (p99, name, f) in rows.iter().take(shown) {
-            let h = f.get("delay_ns");
-            let g = |k: &str| {
-                h.and_then(|h| h.get(k))
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0)
-            };
-            let delivered = f.get("delivered").and_then(|v| v.as_u64()).unwrap_or(0);
-            let worst = f
-                .get("worst_delay_ns")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0);
+            let g = |path: &[&str]| num(f, path).unwrap_or(0);
             out.push_str(&format!(
                 "  {:<32} {:>10} {:>8} {:>8} {:>8} {:>8}\n",
                 name,
-                delivered,
-                fmt_ns(g("p50")),
-                fmt_ns(g("p90")),
+                g(&["delivered"]),
+                fmt_ns(g(&["delay_ns", "p50"])),
+                fmt_ns(g(&["delay_ns", "p90"])),
                 fmt_ns(*p99),
-                fmt_ns(worst),
+                fmt_ns(g(&["worst_delay_ns"])),
             ));
         }
     }
 
     // --- Per-hop decomposition ------------------------------------------
-    let chan_rows: Vec<(u64, &HopAgg)> = hops
+    let chan_rows: Vec<(&str, &([u64; 3], u64))> = hops
         .iter()
-        .filter(|(pid, _)| pid_names.get(pid).is_some_and(|n| n.starts_with("chan")))
-        .map(|(pid, agg)| (*pid, agg))
+        .filter_map(|(pid, agg)| Some((*pid_names.get(pid)?, agg)))
+        .filter(|(name, _)| name.starts_with("chan"))
         .collect();
     if !chan_rows.is_empty() {
         out.push_str("\nper-hop delay decomposition (totals across packets):\n");
         out.push_str("  channel                           pkts    queue       tx     wire\n");
-        let mut tq = 0u64;
-        let mut tt = 0u64;
-        let mut tw = 0u64;
-        for (pid, agg) in &chan_rows {
-            let name = pid_names.get(pid).copied().unwrap_or("?");
+        let mut t = [0u64; 3];
+        for (name, (ns, tx_n)) in &chan_rows {
             out.push_str(&format!(
                 "  {:<32} {:>5} {:>8} {:>8} {:>8}\n",
                 name,
-                agg.tx_n,
-                fmt_ns(agg.queue_ns),
-                fmt_ns(agg.tx_ns),
-                fmt_ns(agg.wire_ns),
+                tx_n,
+                fmt_ns(ns[0]),
+                fmt_ns(ns[1]),
+                fmt_ns(ns[2]),
             ));
-            tq += agg.queue_ns;
-            tt += agg.tx_ns;
-            tw += agg.wire_ns;
+            for (t, &ns) in t.iter_mut().zip(ns) {
+                *t = t.checked_add(ns).ok_or(OVERFLOW)?;
+            }
         }
-        let total = tq + tt + tw;
-        let pct = |x: u64| (x * 100).checked_div(total).unwrap_or(0);
+        let total = t
+            .iter()
+            .try_fold(0u64, |a, &x| a.checked_add(x))
+            .ok_or(OVERFLOW)?;
+        let pct = |x: u64| (x as u128 * 100 / total.max(1) as u128) as u64;
         if total > 0 {
             out.push_str(&format!(
                 "  total: queue {} ({}%), tx {} ({}%), wire {} ({}%)\n",
-                fmt_ns(tq),
-                pct(tq),
-                fmt_ns(tt),
-                pct(tt),
-                fmt_ns(tw),
-                pct(tw),
+                fmt_ns(t[0]),
+                pct(t[0]),
+                fmt_ns(t[1]),
+                pct(t[1]),
+                fmt_ns(t[2]),
+                pct(t[2]),
             ));
         }
     }
@@ -325,28 +284,19 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
     }
 
     // --- SLO report ------------------------------------------------------
-    if let Some(slo) = od.and_then(|o| o.get("slo")) {
-        let total = slo
-            .get("total_misses")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
+    if let Some(slo) = od.get("slo") {
+        let total = num(slo, &["total_misses"]).unwrap_or(0);
         out.push_str(&format!("\nSLO conformance (total misses: {total}):\n"));
-        if let Some(flows) = slo.get("flows").and_then(|v| v.as_array()) {
+        if let Some(flows) = slo.get("flows").and_then(JsonValue::as_array) {
             out.push_str(
                 "  flow                               deadline delivered   misses maxstreak\n",
             );
             for f in flows {
-                let name = f.get("flow").and_then(|v| v.as_str()).unwrap_or("?");
-                let dl = match f.get("deadline_ns").and_then(|v| v.as_u64()) {
-                    Some(d) => fmt_ns(d),
-                    None => "-".to_string(),
-                };
-                let delivered = f.get("delivered").and_then(|v| v.as_u64()).unwrap_or(0);
-                let misses = f.get("misses").and_then(|v| v.as_u64()).unwrap_or(0);
-                let streak = f
-                    .get("miss_streak_max")
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0);
+                let name = text(f, "flow").unwrap_or("?");
+                let dl = num(f, &["deadline_ns"]).map_or_else(|| "-".to_string(), fmt_ns);
+                let g = |k: &str| num(f, &[k]).unwrap_or(0);
+                let (delivered, misses) = (g("delivered"), g("misses"));
+                let streak = g("miss_streak_max");
                 out.push_str(&format!(
                     "  {name:<32} {dl:>10} {delivered:>9} {misses:>8} {streak:>9}\n"
                 ));
@@ -356,8 +306,17 @@ pub fn summarize(json: &str, top: usize) -> Result<String, String> {
     Ok(out)
 }
 
+/// Table row bound: `top == 0` means all rows.
+pub(crate) fn bound(top: usize, len: usize) -> usize {
+    if top == 0 {
+        len
+    } else {
+        top.min(len)
+    }
+}
+
 /// Format nanoseconds with an SI unit, integer math only (byte-stable).
-fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!(
             "{}.{:03}s",
@@ -395,6 +354,18 @@ mod tests {
         // The empty (tracing-disabled) export has no otherData: check
         // flags it, since CI should never gate on a disabled trace.
         assert!(check(json).is_err());
+    }
+
+    /// Two span durations summing past `u64::MAX` make `summarize`
+    /// return an error, not panic.
+    #[test]
+    fn overflowing_span_durations_are_an_error_not_a_panic() {
+        let span = r#"{"name":"queue","ph":"X","ts":0,"dur":0,"pid":1,"tid":1,"args":{"pkt":0,"flow":"f","ts_ns":0,"dur_ns":18446744073709551615}}"#;
+        let json = format!(r#"{{"traceEvents":[{span},{span}],"displayTimeUnit":"ms"}}"#);
+        assert_eq!(
+            summarize(&json, 10).unwrap_err(),
+            "span durations overflow u64"
+        );
     }
 
     #[test]

@@ -400,8 +400,9 @@ impl PacketTracer {
         }
     }
 
-    /// Publish per-flow and per-class histograms plus SLO counters into
-    /// the registry (called from `Net::publish_metrics`).
+    /// Publish per-flow and per-class histograms plus the span-drop count
+    /// into the registry (called from `Net::publish_metrics`; the SLO miss
+    /// total is a `Net::visit_metrics` series).
     pub(crate) fn publish(&self, m: &mut Registry) {
         m.record_hist("phb.ef.queue_wait_ns", &self.ef_wait);
         m.record_hist("phb.af.queue_wait_ns", &self.af_wait);
@@ -410,7 +411,6 @@ impl PacketTracer {
             m.record_hist(&format!("flow.{}.delay_ns", f.name), &f.delay);
             m.record_hist(&format!("flow.{}.jitter_ns", f.name), &f.jitter);
         }
-        m.record_total("slo.misses", self.total_misses);
         m.record_total("trace.spans_dropped", self.spans_dropped);
     }
 

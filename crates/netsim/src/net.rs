@@ -18,7 +18,7 @@ use crate::queue::{Enqueue, Queue, QueueCfg, QueueStats};
 use crate::shaper::{ShapeOutcome, Shaper};
 use crate::tokenbucket::TokenBucket;
 use mpichgq_dsrt::{AdmissionError, CompleteOutcome, Cpu, ProcId, Update, WorkId};
-use mpichgq_obs::{CounterId, JsonWriter, Obs, Timeline};
+use mpichgq_obs::{CounterId, JsonWriter, Obs, Registry, Timeline};
 use mpichgq_sim::{fnv1a, Engine, Recorder, SchedulerKind, SimDelta, SimRng, SimTime};
 
 /// What kind of node this is.
@@ -126,6 +126,48 @@ pub trait NetHandler {
 pub trait TimelineSource {
     /// Record this source's series for the tick at `at`.
     fn timeline_sample(&mut self, net: &mut Net, at: SimTime);
+}
+
+/// The receiving end of [`Net::visit_metrics`]: one call per series.
+/// The registry ([`Net::publish_metrics`]) and the timeline sample tick
+/// are the two sinks.
+pub(crate) trait MetricSink {
+    /// A cumulative (monotone) total.
+    fn counter(&mut self, name: &str, v: u64);
+    /// An instantaneous level.
+    fn gauge(&mut self, name: &str, v: f64);
+    /// Whether the sink samples over time. Per-class queue occupancy is
+    /// written only to sampling sinks.
+    fn samples(&self) -> bool {
+        false
+    }
+}
+
+impl MetricSink for Registry {
+    fn counter(&mut self, name: &str, v: u64) {
+        self.record_total(name, v);
+    }
+    fn gauge(&mut self, name: &str, v: f64) {
+        self.set_gauge(name, v);
+    }
+}
+
+/// The sample tick's sink: every series pushed at one grid instant.
+struct TickSink<'a> {
+    tl: &'a mut Timeline,
+    at_ns: u64,
+}
+
+impl MetricSink for TickSink<'_> {
+    fn counter(&mut self, name: &str, v: u64) {
+        self.tl.push_counter(name, self.at_ns, v);
+    }
+    fn gauge(&mut self, name: &str, v: f64) {
+        self.tl.push_gauge(name, self.at_ns, v);
+    }
+    fn samples(&self) -> bool {
+        true
+    }
 }
 
 /// Global drop accounting, by cause.
@@ -988,37 +1030,42 @@ impl Net {
     // Observability
     // ------------------------------------------------------------------
 
-    /// Publish every component-local statistic into the shared registry:
+    /// Write every component-local statistic, once each, into `sink`:
     /// engine totals, drop causes, per-interface queue counters and
     /// high-water marks, per-rule policer counters and token-bucket levels,
-    /// and per-shaper pacing state. Live counters (packets sent/delivered,
-    /// anything other layers incremented) are already there; this makes the
-    /// registry a complete picture of the run at the moment of the call.
-    pub fn publish_metrics(&mut self) {
-        let now = self.now();
-        let m = &mut self.obs.metrics;
-        m.record_total("engine.events_processed", self.engine.processed());
-        m.set_gauge("engine.pending_events", self.engine.len() as f64);
+    /// per-shaper pacing state, and the SLO miss total. Series whose
+    /// machinery never ran are left out (idle interfaces, the host-fault,
+    /// AF and AQM keys), so legacy snapshots stay byte-identical. A shard
+    /// of a partitioned world writes only the nodes it executes: foreign
+    /// copies hold zeroed classifier state and untouched full buckets,
+    /// which a merge of per-shard sinks would otherwise sum k-fold.
+    ///
+    /// [`Net::publish_metrics`] and the timeline sample tick are the two
+    /// sinks, so the final sample of every series equals the end-of-run
+    /// registry value by construction. Read-only: bucket levels are
+    /// projected with [`TokenBucket::peek_available`], never committed.
+    pub(crate) fn visit_metrics(&self, at: SimTime, sink: &mut impl MetricSink) {
+        sink.counter("engine.events_processed", self.engine.processed());
+        sink.gauge("engine.pending_events", self.engine.len() as f64);
         let cs = self.engine.calendar_stats();
-        m.record_total("engine.calendar.rebuilds", cs.rebuilds);
-        m.record_total("engine.calendar.fallbacks", cs.fallbacks);
-        m.record_total("engine.calendar.scan_steps", cs.scan_steps);
-        m.record_total("engine.calendar.slow_pushes", cs.slow_pushes);
-        m.record_total("net.drops.policed", self.drops.policed);
-        m.record_total("net.drops.queue_full", self.drops.queue_full);
-        m.record_total("net.drops.misrouted", self.drops.misrouted);
+        sink.counter("engine.calendar.rebuilds", cs.rebuilds);
+        sink.counter("engine.calendar.fallbacks", cs.fallbacks);
+        sink.counter("engine.calendar.scan_steps", cs.scan_steps);
+        sink.counter("engine.calendar.slow_pushes", cs.slow_pushes);
+        sink.counter("net.drops.policed", self.drops.policed);
+        sink.counter("net.drops.queue_full", self.drops.queue_full);
+        sink.counter("net.drops.misrouted", self.drops.misrouted);
         if let Some(f) = &self.faults {
-            m.record_total("faults.drops.link_down", f.stats.drops_link_down);
-            m.record_total("faults.drops.loss", f.stats.drops_loss);
-            m.record_total("faults.drops.corrupt", f.stats.drops_corrupt);
-            m.record_total("faults.link_downs", f.stats.link_downs);
-            m.record_total("faults.link_ups", f.stats.link_ups);
-            // Host-fault keys appear only when a crash actually happened,
-            // so legacy snapshots stay byte-identical.
-            if f.stats.host_crashes + f.stats.host_restarts > 0 {
-                m.record_total("faults.drops.host_down", f.stats.drops_host_down);
-                m.record_total("faults.host_crashes", f.stats.host_crashes);
-                m.record_total("faults.host_restarts", f.stats.host_restarts);
+            let s = &f.stats;
+            sink.counter("faults.drops.link_down", s.drops_link_down);
+            sink.counter("faults.drops.loss", s.drops_loss);
+            sink.counter("faults.drops.corrupt", s.drops_corrupt);
+            sink.counter("faults.link_downs", s.link_downs);
+            sink.counter("faults.link_ups", s.link_ups);
+            if s.host_crashes + s.host_restarts > 0 {
+                sink.counter("faults.drops.host_down", s.drops_host_down);
+                sink.counter("faults.host_crashes", s.host_crashes);
+                sink.counter("faults.host_restarts", s.host_restarts);
             }
         }
 
@@ -1030,111 +1077,122 @@ impl Net {
             early[1] += st.early_af.iter().sum::<u64>();
             early[2] += st.early_be;
             sched_violations += st.sched_violations;
-            if st.enq_be
-                + st.enq_ef
-                + st.enq_af
-                + st.drop_be
-                + st.drop_ef
-                + st.drop_af
-                + st.early_total()
-                == 0
-            {
+            let active = st.enq_be + st.enq_ef + st.enq_af;
+            if active + st.drop_be + st.drop_ef + st.drop_af + st.early_total() == 0 {
                 continue; // idle interface: keep snapshots readable
             }
             let c = &self.chans[i];
             let p = format!("iface{i:03}");
-            m.record_total(&format!("{p}.enq_ef"), st.enq_ef);
-            m.record_total(&format!("{p}.enq_be"), st.enq_be);
-            m.record_total(&format!("{p}.drop_ef"), st.drop_ef);
-            m.record_total(&format!("{p}.drop_be"), st.drop_be);
-            m.record_total(&format!("{p}.dequeued"), st.dequeued);
-            m.record_total(&format!("{p}.bytes_dequeued"), st.bytes_dequeued);
-            m.record_total(&format!("{p}.tx_packets"), c.tx_packets);
-            m.record_total(&format!("{p}.tx_bytes_wire"), c.tx_bytes_wire);
-            m.record_total(&format!("{p}.rx_packets"), c.rx_packets);
-            m.record_total(&format!("{p}.prio_inversions"), st.prio_inversions);
-            m.set_gauge(&format!("{p}.hw_ef_bytes"), st.hw_ef_bytes as f64);
-            m.set_gauge(&format!("{p}.hw_be_bytes"), st.hw_be_bytes as f64);
-            m.set_gauge(&format!("{p}.backlog_bytes"), q.backlog_bytes() as f64);
-            m.set_gauge(&format!("{p}.backlog_pkts"), q.len() as f64);
-            // AF- and AQM-era keys appear only when that machinery actually
-            // ran, so legacy snapshots stay byte-identical.
-            if st.enq_af > 0 {
-                m.record_total(&format!("{p}.enq_af"), st.enq_af);
+            sink.counter(&format!("{p}.enq_ef"), st.enq_ef);
+            sink.counter(&format!("{p}.enq_be"), st.enq_be);
+            sink.counter(&format!("{p}.drop_ef"), st.drop_ef);
+            sink.counter(&format!("{p}.drop_be"), st.drop_be);
+            sink.counter(&format!("{p}.dequeued"), st.dequeued);
+            sink.counter(&format!("{p}.bytes_dequeued"), st.bytes_dequeued);
+            sink.counter(&format!("{p}.tx_packets"), c.tx_packets);
+            sink.counter(&format!("{p}.tx_bytes_wire"), c.tx_bytes_wire);
+            sink.counter(&format!("{p}.rx_packets"), c.rx_packets);
+            sink.counter(&format!("{p}.prio_inversions"), st.prio_inversions);
+            sink.gauge(&format!("{p}.hw_ef_bytes"), st.hw_ef_bytes as f64);
+            sink.gauge(&format!("{p}.hw_be_bytes"), st.hw_be_bytes as f64);
+            sink.gauge(&format!("{p}.backlog_bytes"), q.backlog_bytes() as f64);
+            sink.gauge(&format!("{p}.backlog_pkts"), q.len() as f64);
+            if sink.samples() {
+                // Per-class occupancy is timeline-only: instantaneous queue
+                // composition is exactly what a fixed-interval series is
+                // for, while a point-in-time registry gauge of it would be
+                // noise.
+                let [ef, af, be] = q.class_backlog_bytes();
+                sink.gauge(&format!("{p}.backlog_ef_bytes"), ef as f64);
+                sink.gauge(&format!("{p}.backlog_af_bytes"), af as f64);
+                sink.gauge(&format!("{p}.backlog_be_bytes"), be as f64);
             }
-            if st.drop_af > 0 {
-                m.record_total(&format!("{p}.drop_af"), st.drop_af);
-            }
+            // AF- and AQM-era keys appear only when that machinery ran.
             if st.hw_af_bytes > 0 {
-                m.set_gauge(&format!("{p}.hw_af_bytes"), st.hw_af_bytes as f64);
+                sink.gauge(&format!("{p}.hw_af_bytes"), st.hw_af_bytes as f64);
             }
-            if st.early_ef > 0 {
-                m.record_total(&format!("{p}.early_ef"), st.early_ef);
-            }
-            if st.early_be > 0 {
-                m.record_total(&format!("{p}.early_be"), st.early_be);
-            }
-            for (prec, &n) in st.early_af.iter().enumerate() {
-                if n > 0 {
-                    m.record_total(&format!("{p}.early_af{prec}"), n);
+            let [e0, e1, e2] = st.early_af;
+            for (k, v) in [
+                ("enq_af", st.enq_af),
+                ("drop_af", st.drop_af),
+                ("early_ef", st.early_ef),
+                ("early_be", st.early_be),
+                ("early_af0", e0),
+                ("early_af1", e1),
+                ("early_af2", e2),
+                ("sched_violations", st.sched_violations),
+            ] {
+                if v > 0 {
+                    sink.counter(&format!("{p}.{k}"), v);
                 }
             }
-            if st.sched_violations > 0 {
-                m.record_total(&format!("{p}.sched_violations"), st.sched_violations);
+        }
+        for (k, v) in [
+            ("net.drops.red_early", self.drops.red_early),
+            ("qdisc.early_drops.ef", early[0]),
+            ("qdisc.early_drops.af", early[1]),
+            ("qdisc.early_drops.be", early[2]),
+            ("qdisc.sched_violations", sched_violations),
+        ] {
+            if v > 0 {
+                sink.counter(k, v);
             }
         }
-        if self.drops.red_early > 0 {
-            m.record_total("net.drops.red_early", self.drops.red_early);
-        }
-        if early[0] > 0 {
-            m.record_total("qdisc.early_drops.ef", early[0]);
-        }
-        if early[1] > 0 {
-            m.record_total("qdisc.early_drops.af", early[1]);
-        }
-        if early[2] > 0 {
-            m.record_total("qdisc.early_drops.be", early[2]);
-        }
-        if sched_violations > 0 {
-            m.record_total("qdisc.sched_violations", sched_violations);
-        }
 
-        for (n, node) in self.nodes.iter_mut().enumerate() {
+        let owned = |n: usize| {
+            self.shard
+                .as_deref()
+                .is_none_or(|sc| sc.shard_of[n] == sc.shard)
+        };
+        for (n, node) in self.nodes.iter().enumerate().filter(|&(n, _)| owned(n)) {
             let cs = node.classifier.stats();
             if cs.marked_ef + cs.demoted + cs.marked_af + cs.remarked > 0 {
-                m.record_total(&format!("node{n:03}.marked_ef"), cs.marked_ef);
-                m.record_total(&format!("node{n:03}.demoted"), cs.demoted);
-                if cs.marked_af > 0 {
-                    m.record_total(&format!("node{n:03}.marked_af"), cs.marked_af);
-                }
-                if cs.remarked > 0 {
-                    m.record_total(&format!("node{n:03}.remarked"), cs.remarked);
+                sink.counter(&format!("node{n:03}.marked_ef"), cs.marked_ef);
+                sink.counter(&format!("node{n:03}.demoted"), cs.demoted);
+                for (k, v) in [("marked_af", cs.marked_af), ("remarked", cs.remarked)] {
+                    if v > 0 {
+                        sink.counter(&format!("node{n:03}.{k}"), v);
+                    }
                 }
             }
-            for r in node.classifier.rules_mut() {
+            for r in node.classifier.rules() {
                 let p = format!("node{n:03}.rule{:03}", r.id);
-                m.record_total(&format!("{p}.conformant_pkts"), r.stats.conformant_pkts);
-                m.record_total(&format!("{p}.conformant_bytes"), r.stats.conformant_bytes);
-                m.record_total(&format!("{p}.policed_pkts"), r.stats.policed_pkts);
-                m.record_total(&format!("{p}.policed_bytes"), r.stats.policed_bytes);
-                if let Some(tb) = &mut r.policer {
-                    m.set_gauge(&format!("{p}.bucket_level_bytes"), tb.available(now));
+                let s = &r.stats;
+                sink.counter(&format!("{p}.conformant_pkts"), s.conformant_pkts);
+                sink.counter(&format!("{p}.conformant_bytes"), s.conformant_bytes);
+                sink.counter(&format!("{p}.policed_pkts"), s.policed_pkts);
+                sink.counter(&format!("{p}.policed_bytes"), s.policed_bytes);
+                if let Some(tb) = &r.policer {
+                    sink.gauge(&format!("{p}.bucket_level_bytes"), tb.peek_available(at));
                 }
             }
-            for s in &mut node.shapers {
+            for s in &node.shapers {
                 let p = format!("node{n:03}.shaper{:03}", s.id);
-                m.record_total(&format!("{p}.passed"), s.stats.passed);
-                m.record_total(&format!("{p}.delayed"), s.stats.delayed);
-                m.set_gauge(&format!("{p}.backlog_bytes"), s.backlog_bytes() as f64);
-                m.set_gauge(&format!("{p}.backlog_pkts"), s.queue.len() as f64);
-                m.set_gauge(
-                    &format!("{p}.max_backlog_bytes"),
-                    s.stats.max_backlog_bytes as f64,
-                );
-                m.set_gauge(&format!("{p}.bucket_level_bytes"), s.bucket.available(now));
+                sink.counter(&format!("{p}.passed"), s.stats.passed);
+                sink.counter(&format!("{p}.delayed"), s.stats.delayed);
+                sink.gauge(&format!("{p}.backlog_bytes"), s.backlog_bytes() as f64);
+                sink.gauge(&format!("{p}.backlog_pkts"), s.queue.len() as f64);
+                let max = s.stats.max_backlog_bytes as f64;
+                sink.gauge(&format!("{p}.max_backlog_bytes"), max);
+                let level = s.bucket.peek_available(at);
+                sink.gauge(&format!("{p}.bucket_level_bytes"), level);
             }
         }
 
+        if let Some(t) = &self.lifecycle {
+            sink.counter("slo.misses", t.total_misses());
+        }
+    }
+
+    /// Publish every component-local statistic (`Net::visit_metrics`)
+    /// into the shared registry, plus the registry-only parts: per-shard
+    /// engine self-profiling and the lifecycle histograms. Live counters
+    /// (packets sent/delivered, anything other layers incremented) are
+    /// already there; this makes the registry a complete picture of the
+    /// run at the moment of the call.
+    pub fn publish_metrics(&mut self) {
+        let mut m = std::mem::take(&mut self.obs.metrics);
+        self.visit_metrics(self.now(), &mut m);
         if let Some(sc) = self.shard.as_deref() {
             let p = format!("shard{:02}", sc.shard);
             m.record_total(&format!("{p}.windows"), sc.windows);
@@ -1143,10 +1201,10 @@ impl Net {
             m.record_total(&format!("{p}.cross_out"), sc.next_seq);
             m.record_total(&format!("{p}.cross_in"), sc.cross_in);
         }
-
         if let Some(t) = &self.lifecycle {
-            t.publish(m);
+            t.publish(&mut m);
         }
+        self.obs.metrics = m;
     }
 
     /// [`Net::publish_metrics`] followed by a full JSON snapshot — what the
@@ -1264,7 +1322,12 @@ impl Net {
         };
         ctx.cur_ns = Some(at_ns);
         ctx.last_ns = Some(at_ns);
-        self.sample_core(&mut ctx.tl, at_ns);
+        let at = SimTime::from_nanos(at_ns);
+        let mut sink = TickSink {
+            tl: &mut ctx.tl,
+            at_ns,
+        };
+        self.visit_metrics(at, &mut sink);
         // Live counters and gauges (anything other layers increment in
         // place) are always current in the registry; sweeping them after
         // the explicit pushes means explicitly sampled series are already
@@ -1276,204 +1339,10 @@ impl Net {
             ctx.tl.sweep_gauge(name, at_ns, v);
         }
         self.timeline = Some(ctx);
-        h.timeline_sample(self, SimTime::from_nanos(at_ns));
+        h.timeline_sample(self, at);
         self.timeline_burn_tick(at_ns);
         if let Some(ctx) = self.timeline.as_deref_mut() {
             ctx.cur_ns = None;
-        }
-    }
-
-    /// Sample every component-local statistic [`Net::publish_metrics`]
-    /// publishes, with identical names and identical activity gating — so
-    /// the final sample of each cumulative series equals the end-of-run
-    /// registry counter (the `timeline_consistency` invariant). The one
-    /// deliberate read-path difference: token-bucket levels use
-    /// [`TokenBucket::peek_available`], because the mutating refill is not
-    /// bit-idempotent under splitting and would perturb later conformance
-    /// decisions.
-    fn sample_core(&mut self, tl: &mut Timeline, at_ns: u64) {
-        let at = SimTime::from_nanos(at_ns);
-        tl.push_counter("engine.events_processed", at_ns, self.engine.processed());
-        tl.push_gauge("engine.pending_events", at_ns, self.engine.len() as f64);
-        let cs = self.engine.calendar_stats();
-        tl.push_counter("engine.calendar.rebuilds", at_ns, cs.rebuilds);
-        tl.push_counter("engine.calendar.fallbacks", at_ns, cs.fallbacks);
-        tl.push_counter("engine.calendar.scan_steps", at_ns, cs.scan_steps);
-        tl.push_counter("engine.calendar.slow_pushes", at_ns, cs.slow_pushes);
-        tl.push_counter("net.drops.policed", at_ns, self.drops.policed);
-        tl.push_counter("net.drops.queue_full", at_ns, self.drops.queue_full);
-        tl.push_counter("net.drops.misrouted", at_ns, self.drops.misrouted);
-        if self.drops.red_early > 0 {
-            tl.push_counter("net.drops.red_early", at_ns, self.drops.red_early);
-        }
-        if let Some(f) = &self.faults {
-            tl.push_counter("faults.drops.link_down", at_ns, f.stats.drops_link_down);
-            tl.push_counter("faults.drops.loss", at_ns, f.stats.drops_loss);
-            tl.push_counter("faults.drops.corrupt", at_ns, f.stats.drops_corrupt);
-            tl.push_counter("faults.link_downs", at_ns, f.stats.link_downs);
-            tl.push_counter("faults.link_ups", at_ns, f.stats.link_ups);
-            // Same activity gate as publish_metrics (timeline_consistency).
-            if f.stats.host_crashes + f.stats.host_restarts > 0 {
-                tl.push_counter("faults.drops.host_down", at_ns, f.stats.drops_host_down);
-                tl.push_counter("faults.host_crashes", at_ns, f.stats.host_crashes);
-                tl.push_counter("faults.host_restarts", at_ns, f.stats.host_restarts);
-            }
-        }
-
-        let mut early = [0u64; 3];
-        let mut sched_violations = 0u64;
-        for (i, q) in self.queues.iter().enumerate() {
-            let st = q.stats();
-            early[0] += st.early_ef;
-            early[1] += st.early_af.iter().sum::<u64>();
-            early[2] += st.early_be;
-            sched_violations += st.sched_violations;
-            if st.enq_be
-                + st.enq_ef
-                + st.enq_af
-                + st.drop_be
-                + st.drop_ef
-                + st.drop_af
-                + st.early_total()
-                == 0
-            {
-                continue; // same idle-interface gate as publish_metrics
-            }
-            let c = &self.chans[i];
-            let p = format!("iface{i:03}");
-            tl.push_counter(&format!("{p}.enq_ef"), at_ns, st.enq_ef);
-            tl.push_counter(&format!("{p}.enq_be"), at_ns, st.enq_be);
-            tl.push_counter(&format!("{p}.drop_ef"), at_ns, st.drop_ef);
-            tl.push_counter(&format!("{p}.drop_be"), at_ns, st.drop_be);
-            tl.push_counter(&format!("{p}.dequeued"), at_ns, st.dequeued);
-            tl.push_counter(&format!("{p}.bytes_dequeued"), at_ns, st.bytes_dequeued);
-            tl.push_counter(&format!("{p}.tx_packets"), at_ns, c.tx_packets);
-            tl.push_counter(&format!("{p}.tx_bytes_wire"), at_ns, c.tx_bytes_wire);
-            tl.push_counter(&format!("{p}.rx_packets"), at_ns, c.rx_packets);
-            tl.push_counter(&format!("{p}.prio_inversions"), at_ns, st.prio_inversions);
-            tl.push_gauge(&format!("{p}.hw_ef_bytes"), at_ns, st.hw_ef_bytes as f64);
-            tl.push_gauge(&format!("{p}.hw_be_bytes"), at_ns, st.hw_be_bytes as f64);
-            tl.push_gauge(
-                &format!("{p}.backlog_bytes"),
-                at_ns,
-                q.backlog_bytes() as f64,
-            );
-            tl.push_gauge(&format!("{p}.backlog_pkts"), at_ns, q.len() as f64);
-            // Per-class occupancy is timeline-only: instantaneous queue
-            // composition is exactly what a fixed-interval series is for,
-            // while a point-in-time registry gauge of it would be noise.
-            let cb = q.class_backlog_bytes();
-            tl.push_gauge(&format!("{p}.backlog_ef_bytes"), at_ns, cb[0] as f64);
-            tl.push_gauge(&format!("{p}.backlog_af_bytes"), at_ns, cb[1] as f64);
-            tl.push_gauge(&format!("{p}.backlog_be_bytes"), at_ns, cb[2] as f64);
-            if st.enq_af > 0 {
-                tl.push_counter(&format!("{p}.enq_af"), at_ns, st.enq_af);
-            }
-            if st.drop_af > 0 {
-                tl.push_counter(&format!("{p}.drop_af"), at_ns, st.drop_af);
-            }
-            if st.hw_af_bytes > 0 {
-                tl.push_gauge(&format!("{p}.hw_af_bytes"), at_ns, st.hw_af_bytes as f64);
-            }
-            if st.early_ef > 0 {
-                tl.push_counter(&format!("{p}.early_ef"), at_ns, st.early_ef);
-            }
-            if st.early_be > 0 {
-                tl.push_counter(&format!("{p}.early_be"), at_ns, st.early_be);
-            }
-            for (prec, &n) in st.early_af.iter().enumerate() {
-                if n > 0 {
-                    tl.push_counter(&format!("{p}.early_af{prec}"), at_ns, n);
-                }
-            }
-            if st.sched_violations > 0 {
-                tl.push_counter(&format!("{p}.sched_violations"), at_ns, st.sched_violations);
-            }
-        }
-        if early[0] > 0 {
-            tl.push_counter("qdisc.early_drops.ef", at_ns, early[0]);
-        }
-        if early[1] > 0 {
-            tl.push_counter("qdisc.early_drops.af", at_ns, early[1]);
-        }
-        if early[2] > 0 {
-            tl.push_counter("qdisc.early_drops.be", at_ns, early[2]);
-        }
-        if sched_violations > 0 {
-            tl.push_counter("qdisc.sched_violations", at_ns, sched_violations);
-        }
-
-        // A sharded copy samples only the nodes it executes: foreign
-        // copies hold zeroed classifier/shaper state, and their gauges
-        // must not appear k-fold in the per-shard timelines a merge sums.
-        let shard = self
-            .shard
-            .as_deref()
-            .map(|sc| (sc.shard, sc.shard_of.clone()));
-        for (n, node) in self.nodes.iter().enumerate() {
-            if let Some((s, map)) = &shard {
-                if map[n] != *s {
-                    continue;
-                }
-            }
-            let cs = node.classifier.stats();
-            if cs.marked_ef + cs.demoted + cs.marked_af + cs.remarked > 0 {
-                tl.push_counter(&format!("node{n:03}.marked_ef"), at_ns, cs.marked_ef);
-                tl.push_counter(&format!("node{n:03}.demoted"), at_ns, cs.demoted);
-                if cs.marked_af > 0 {
-                    tl.push_counter(&format!("node{n:03}.marked_af"), at_ns, cs.marked_af);
-                }
-                if cs.remarked > 0 {
-                    tl.push_counter(&format!("node{n:03}.remarked"), at_ns, cs.remarked);
-                }
-            }
-            for r in node.classifier.rules() {
-                let p = format!("node{n:03}.rule{:03}", r.id);
-                tl.push_counter(
-                    &format!("{p}.conformant_pkts"),
-                    at_ns,
-                    r.stats.conformant_pkts,
-                );
-                tl.push_counter(
-                    &format!("{p}.conformant_bytes"),
-                    at_ns,
-                    r.stats.conformant_bytes,
-                );
-                tl.push_counter(&format!("{p}.policed_pkts"), at_ns, r.stats.policed_pkts);
-                tl.push_counter(&format!("{p}.policed_bytes"), at_ns, r.stats.policed_bytes);
-                if let Some(tb) = &r.policer {
-                    tl.push_gauge(
-                        &format!("{p}.bucket_level_bytes"),
-                        at_ns,
-                        tb.peek_available(at),
-                    );
-                }
-            }
-            for s in &node.shapers {
-                let p = format!("node{n:03}.shaper{:03}", s.id);
-                tl.push_counter(&format!("{p}.passed"), at_ns, s.stats.passed);
-                tl.push_counter(&format!("{p}.delayed"), at_ns, s.stats.delayed);
-                tl.push_gauge(
-                    &format!("{p}.backlog_bytes"),
-                    at_ns,
-                    s.backlog_bytes() as f64,
-                );
-                tl.push_gauge(&format!("{p}.backlog_pkts"), at_ns, s.queue.len() as f64);
-                tl.push_gauge(
-                    &format!("{p}.max_backlog_bytes"),
-                    at_ns,
-                    s.stats.max_backlog_bytes as f64,
-                );
-                tl.push_gauge(
-                    &format!("{p}.bucket_level_bytes"),
-                    at_ns,
-                    s.bucket.peek_available(at),
-                );
-            }
-        }
-
-        if let Some(t) = &self.lifecycle {
-            tl.push_counter("slo.misses", at_ns, t.total_misses());
         }
     }
 
@@ -1513,7 +1382,7 @@ impl Net {
     /// drain: every packet ever injected by [`Net::send_ip`] is, right now,
     /// exactly one of delivered / dropped-for-a-named-cause / waiting in a
     /// shaper or interface queue / serialized onto a wire.
-    pub fn audit(&mut self) -> NetAudit {
+    pub fn audit(&self) -> NetAudit {
         let now = self.now();
         let mut chans = Vec::with_capacity(self.chans.len());
         let mut queued_pkts = 0u64;
@@ -1542,18 +1411,18 @@ impl Net {
         let mut shaper_pkts = 0u64;
         let mut bucket_violations = 0u64;
         const EPS: f64 = 1e-6;
-        for node in &mut self.nodes {
-            for r in node.classifier.rules_mut() {
-                if let Some(tb) = &mut r.policer {
-                    let level = tb.available(now);
+        for node in &self.nodes {
+            for r in node.classifier.rules() {
+                if let Some(tb) = &r.policer {
+                    let level = tb.peek_available(now);
                     if !(-EPS..=tb.depth_bytes() as f64 + EPS).contains(&level) {
                         bucket_violations += 1;
                     }
                 }
             }
-            for s in &mut node.shapers {
+            for s in &node.shapers {
                 shaper_pkts += s.queue.len() as u64;
-                let level = s.bucket.available(now);
+                let level = s.bucket.peek_available(now);
                 if !(-EPS..=s.bucket.depth_bytes() as f64 + EPS).contains(&level) {
                     bucket_violations += 1;
                 }

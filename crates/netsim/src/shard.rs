@@ -362,9 +362,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::{FlowSpec, PolicingAction};
     use crate::link::LinkCfg;
-    use crate::packet::{NodeId, Packet, L4};
+    use crate::packet::{Dscp, NodeId, Packet, L4};
     use crate::queue::QueueCfg;
+    use crate::tokenbucket::TokenBucket;
+    use mpichgq_obs::Registry;
 
     /// Two islands (host–router each) joined by a WAN link; `sep` controls
     /// which side of the delay cut the WAN link falls on.
@@ -506,6 +509,58 @@ mod tests {
             let rx: u64 = one.iter().map(|(_, _, _, w)| w[i].1).sum();
             assert_eq!(tx, mono.chan(c).tx_packets, "chan {i} tx diverged");
             assert_eq!(rx, mono.chan(c).rx_packets, "chan {i} rx diverged");
+        }
+    }
+
+    /// Each shard publishes only the nodes it executes. A foreign copy's
+    /// policer bucket is untouched and full; were it published, the merged
+    /// registry would add it to the owner's level.
+    #[test]
+    fn merged_shard_registries_count_each_policer_once() {
+        let limit = SimTime::from_millis(250);
+        let police = |net: &mut Net| {
+            for router in [NodeId(1), NodeId(3)] {
+                net.node_mut(router).classifier.install(
+                    FlowSpec::any(),
+                    Dscp::Ef,
+                    Some(TokenBucket::new(1_000_000, 20_000)),
+                    PolicingAction::Drop,
+                );
+            }
+        };
+        let mut mono = two_island_topo(SimDelta::from_millis(5)).build();
+        police(&mut mono);
+        mono.set_host_timer(NodeId(0), SimTime::from_nanos(0), 2);
+        mono.set_host_timer(NodeId(2), SimTime::from_nanos(0), 0);
+        mono.run_until(&mut Count { got: 0 }, limit);
+        mono.publish_metrics();
+
+        let topo = two_island_topo(SimDelta::from_millis(5));
+        let part = Partition::by_min_delay(&topo, SimDelta::from_millis(1)).unwrap();
+        let per_shard = run_partitioned(
+            &part,
+            2,
+            limit,
+            |shard| {
+                let (mut net, h) = build_cross_traffic(shard, &part);
+                police(&mut net);
+                (net, h)
+            },
+            |_, mut net, _| {
+                net.publish_metrics();
+                std::mem::take(&mut net.obs.metrics)
+            },
+        );
+        let mut merged = Registry::default();
+        for reg in &per_shard {
+            merged.merge_from(reg);
+        }
+        let reference = &mono.obs.metrics;
+        for node in ["node001", "node003"] {
+            let name = format!("{node}.rule000.bucket_level_bytes");
+            let level = reference.gauge_value(&name).expect("policer published");
+            assert!(level < 20_000.0, "{name}: the policer never drew tokens");
+            assert_eq!(merged.gauge_value(&name), Some(level), "{name}");
         }
     }
 

@@ -204,6 +204,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -214,9 +215,14 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts: deeper input is an
+/// error, not a stack overflow.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -245,8 +251,20 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') | Some(b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -439,6 +457,14 @@ mod parse_tests {
         // 2^63 + 1 is not representable in f64; the parser must keep it.
         let v = parse("9223372036854775809").unwrap();
         assert_eq!(v.as_u64(), Some(9223372036854775809));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! so the merged timeline is independent of shard merge order — that is
 //! what makes 1-thread and N-thread runs byte-identical.
 
-use crate::json::JsonWriter;
+use crate::json::{parse, JsonValue, JsonWriter};
 use mpichgq_sim::FxHashMap;
 
 /// What a series measures: a cumulative monotone count or a level.
@@ -296,6 +296,129 @@ impl Timeline {
         self.write_json(&mut w);
         w.finish()
     }
+
+    /// Decode a [`Timeline::write_json`] document: the one reader of the
+    /// format. Validates the whole document and returns every problem
+    /// found: the version tag, a positive interval, a non-empty,
+    /// strictly name-sorted series map, and per series a known kind, a
+    /// first sample, strictly increasing timestamps, one value per sample,
+    /// monotone counters and finite gauges. Undoing the delta encoding
+    /// uses checked arithmetic, so a hostile document is an error, never
+    /// a panic. For every timeline without empty series,
+    /// `Timeline::from_json(&t.to_json())?.to_json() == t.to_json()`.
+    pub fn from_json(json: &str) -> Result<Timeline, Vec<String>> {
+        let doc = parse(json).map_err(|e| vec![format!("not valid JSON: {e}")])?;
+        let mut errs = Vec::new();
+        if doc.get("timeline").and_then(JsonValue::as_u64) != Some(1) {
+            errs.push("missing or unknown timeline version (want 1)".to_string());
+        }
+        let interval_ns = doc.get("interval_ns").and_then(JsonValue::as_u64);
+        if interval_ns.is_none_or(|i| i == 0) {
+            errs.push("interval_ns missing or zero".to_string());
+        }
+        let Some(members) = doc.get("series").and_then(JsonValue::members) else {
+            errs.push("missing series object".to_string());
+            return Err(errs);
+        };
+        if members.is_empty() {
+            errs.push("series object is empty (sampler never ticked?)".to_string());
+        }
+        for pair in members.windows(2) {
+            if pair[0].0 >= pair[1].0 {
+                errs.push(format!(
+                    "series names not strictly sorted: {:?} then {:?}",
+                    pair[0].0, pair[1].0
+                ));
+            }
+        }
+        let mut tl = Timeline::new(interval_ns.unwrap_or(1).max(1));
+        for (name, v) in members {
+            match decode_series(v) {
+                Ok(s) => {
+                    tl.ids.insert(name.clone(), tl.series.len() as u32);
+                    tl.names.push(name.clone());
+                    tl.series.push(s);
+                }
+                Err(e) => errs.extend(e.into_iter().map(|e| format!("series {name}: {e}"))),
+            }
+        }
+        errs.is_empty().then_some(tl).ok_or(errs)
+    }
+}
+
+/// Decode one series object of a timeline document (see
+/// [`Timeline::from_json`]), collecting every problem found.
+fn decode_series(v: &JsonValue) -> Result<Series, Vec<String>> {
+    let kind = match v.get("kind").and_then(JsonValue::as_str) {
+        Some("counter") => SeriesKind::Counter,
+        Some("gauge") => SeriesKind::Gauge,
+        other => return Err(vec![format!("unknown kind {other:?}")]),
+    };
+    let Some(dt) = v.get("dt_ns").and_then(JsonValue::as_array) else {
+        return Err(vec!["missing dt_ns".to_string()]);
+    };
+    let Some(t0) = v.get("t0_ns").and_then(JsonValue::as_u64) else {
+        return Err(vec!["empty (null t0_ns)".to_string()]);
+    };
+    let mut errs = Vec::new();
+    let mut s = Series::new(kind, false);
+    match undelta(t0, dt, 1) {
+        Ok(t) => s.t_ns = t,
+        Err(e) => errs.push(format!("dt_ns {e}")),
+    }
+    let samples = dt.len() + 1;
+    match kind {
+        SeriesKind::Counter => match (
+            v.get("v0").and_then(JsonValue::as_u64),
+            v.get("dv").and_then(JsonValue::as_array),
+        ) {
+            (None, _) => errs.push("counter without v0".into()),
+            (_, None) => errs.push("counter without dv".into()),
+            (Some(v0), Some(dv)) if dv.len() + 1 == samples => match undelta(v0, dv, 0) {
+                Ok(u) => s.u = u,
+                Err(e) => errs.push(format!("dv {e}")),
+            },
+            (_, Some(dv)) => errs.push(format!(
+                "dv length {} != dt_ns length {}",
+                dv.len(),
+                dt.len()
+            )),
+        },
+        SeriesKind::Gauge => match v.get("values").and_then(JsonValue::as_array) {
+            None => errs.push("gauge without values".into()),
+            Some(vals) if vals.len() == samples => {
+                match vals
+                    .iter()
+                    .map(|x| x.as_f64().filter(|x| x.is_finite()))
+                    .collect()
+                {
+                    Some(f) => s.f = f,
+                    None => errs.push("non-numeric gauge value".into()),
+                }
+            }
+            Some(vals) => errs.push(format!(
+                "values length {} != sample count {samples}",
+                vals.len()
+            )),
+        },
+    }
+    errs.is_empty().then_some(s).ok_or(errs)
+}
+
+/// Undo one delta-encoded column: `first`, then the running sums of
+/// `deltas`, each an integer of at least `min`. The sums are checked, so
+/// a hostile document is an error rather than an overflow.
+fn undelta(first: u64, deltas: &[JsonValue], min: u64) -> Result<Vec<u64>, &'static str> {
+    let mut out = vec![first];
+    for d in deltas {
+        let d = d.as_u64().filter(|&d| d >= min).ok_or(if min == 0 {
+            "has a negative or non-integer entry (counters are monotone)"
+        } else {
+            "has a non-positive entry (timestamps must strictly increase)"
+        })?;
+        out.push(out[out.len() - 1].checked_add(d).ok_or("overflows u64")?);
+    }
+    Ok(out)
 }
 
 /// Pointwise step-function sum of two series over their timestamp union.
@@ -362,13 +485,11 @@ mod tests {
         t.push_counter("c", 500, 1);
         t.push_counter("c", 1_500, 1);
         t.push_gauge("g", 500, 0.25);
-        let v = crate::json::parse(&t.to_json()).unwrap();
-        assert_eq!(v.get("timeline").unwrap().as_u64(), Some(1));
-        let series = v.get("series").unwrap();
-        let c = series.get("c").unwrap();
-        assert_eq!(c.get("kind").unwrap().as_str(), Some("counter"));
-        assert_eq!(c.get("t0_ns").unwrap().as_u64(), Some(500));
-        assert_eq!(c.get("dv").unwrap().as_array().unwrap().len(), 1);
+        let json = t.to_json();
+        let back = Timeline::from_json(&json).unwrap();
+        assert_eq!(back.counter("c"), Some((&[500, 1_500][..], &[1, 1][..])));
+        assert_eq!(back.gauge("g"), Some((&[500][..], &[0.25][..])));
+        assert_eq!(back.to_json(), json);
     }
 
     #[test]

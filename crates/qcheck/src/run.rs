@@ -287,12 +287,11 @@ fn check_final(sim: &mut Sim, jobs: &[mpichgq_mpi::JobHandle], out: &mut Vec<Vio
 
 /// The `timeline_consistency` invariant slice: take the run's final
 /// sample, publish the registry, and require the last sample of every
-/// cumulative series to equal the end-of-run counter of the same name.
-/// Timestamp monotonicity is enforced at push time (`Timeline` asserts
-/// strictly increasing sample times), so value agreement here closes the
-/// loop on the in-run sampler: a stale sweep, a missed explicit push, or
-/// a gating mismatch between `publish_metrics` and the sampler all
-/// surface as a named violation on ordinary fuzz seeds.
+/// series the registry also holds to equal the end-of-run value of the
+/// same name — counters and gauges alike. The netsim series hold by
+/// construction (both sides are sinks of `Net::visit_metrics`), so a
+/// violation here means a stale sweep, a missed explicit push, or an
+/// upper-layer probe that disagrees with its registry twin.
 fn check_timeline(sim: &mut Sim, out: &mut Vec<Violation>) {
     if !sim.net.timeline_enabled() {
         return;
@@ -303,22 +302,28 @@ fn check_timeline(sim: &mut Sim, out: &mut Vec<Violation>) {
     let Some(tl) = sim.net.timeline() else {
         return;
     };
-    let mut series = 0u64;
+    let reg = &sim.net.obs.metrics;
+    let mut counters = 0u64;
     for name in tl.names() {
-        let Some(last) = tl.last_counter(name) else {
-            continue; // gauges fluctuate; only cumulative series are pinned
+        let mismatch = if let Some(last) = tl.last_counter(name) {
+            counters += 1;
+            reg.counter_value(name)
+                .filter(|&end| end != last)
+                .map(|end| format!("{last} != end-of-run counter {end}"))
+        } else {
+            let last = tl.gauge(name).and_then(|(_, v)| v.last().copied());
+            last.zip(reg.gauge_value(name))
+                .filter(|(last, end)| last.to_bits() != end.to_bits())
+                .map(|(last, end)| format!("{last} != end-of-run gauge {end}"))
         };
-        series += 1;
-        if let Some(reg) = sim.net.obs.metrics.counter_value(name) {
-            if last != reg {
-                out.push(Violation::new(
-                    "timeline_consistency",
-                    format!("series {name}: final sample {last} != end-of-run counter {reg}"),
-                ));
-            }
+        if let Some(m) = mismatch {
+            out.push(Violation::new(
+                "timeline_consistency",
+                format!("series {name}: final sample {m}"),
+            ));
         }
     }
-    if series == 0 {
+    if counters == 0 {
         out.push(Violation::new(
             "timeline_consistency",
             "sampler armed but recorded no counter series".to_string(),

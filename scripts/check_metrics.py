@@ -23,12 +23,9 @@ Checks, per file:
 
 Files whose top level carries "qcheck_summary" (the scenario fuzzer's
 batch report, results/qcheck/summary.json) are validated against the
-qcheck summary schema instead (DESIGN.md §12). Files whose top level
-carries "timeline" are validated against the fixed-interval time-series
-schema (DESIGN.md §16): delta-encoded timestamps with strictly positive
-gaps, counter columns non-negative, gauge columns one value per sample.
-Experiments marked with "timeline" in REQUIRED_BY_EXPERIMENT must also
-ship a sibling timeline.json next to their metrics.json.
+qcheck summary schema instead (DESIGN.md §12). Timelines are not read
+here: `qreport --check <timeline.json>` validates them through the Rust
+decoder of the format (`Timeline::from_json`, DESIGN.md §16).
 
 All problems in a file are collected and reported together — a missing
 section or key never aborts the remaining checks, so one run lists
@@ -81,7 +78,6 @@ REQUIRED_BY_EXPERIMENT = {
         # and the run carries premium (EF-marked) traffic.
         "traced": True,
         "ef_traffic": True,
-        "timeline": True,
     },
     # The rank-failure chaos run (DESIGN.md §17): rolling HostCrash /
     # HostRestart faults with checkpoint/restart recovery, the crash
@@ -107,13 +103,9 @@ REQUIRED_BY_EXPERIMENT = {
         ],
         "traced": True,
         "ef_traffic": True,
-        "timeline": True,
     },
-    # The TCP sawtooth (fig1) is the canonical sampled run: its committed
-    # timeline.json is the regression anchor for the time-series schema.
-    "fig1": {"timeline": True},
-    "fig7_10fps_40kb_frames": {"traced": True, "ef_traffic": True, "timeline": True},
-    "fig7_1fps_400kb_frame": {"traced": True, "ef_traffic": True, "timeline": True},
+    "fig7_10fps_40kb_frames": {"traced": True, "ef_traffic": True},
+    "fig7_1fps_400kb_frame": {"traced": True, "ef_traffic": True},
     # fig8 is the CPU-contention scenario: traced, but no network
     # reservation ever marks EF, so its EF queue-wait histogram is
     # legitimately empty (and empty histograms are omitted).
@@ -350,67 +342,6 @@ def check_qcheck_summary(doc, errors):
             errors.append("totals.delivered exceeds totals.sent")
 
 
-def check_timeline_doc(doc, errors):
-    """Schema of results/<exp>/timeline.json (DESIGN.md §16) — the same
-    shape gate `qtop --check` enforces, so CI catches drift in either
-    tool."""
-    if doc.get("timeline") != 1:
-        errors.append(f"unsupported timeline schema: {doc.get('timeline')!r}")
-    interval = doc.get("interval_ns")
-    if not isinstance(interval, int) or interval <= 0:
-        errors.append(f"'interval_ns' is not a positive integer: {interval!r}")
-    series = doc.get("series")
-    if not isinstance(series, dict) or not series:
-        errors.append(f"'series' is not a non-empty object: {type(series).__name__}")
-        return
-    names = list(series)
-    if names != sorted(names):
-        errors.append("series are not name-sorted")
-    for name, s in series.items():
-        kind = s.get("kind") if isinstance(s, dict) else None
-        if kind not in ("counter", "gauge"):
-            errors.append(f"series {name!r}: unknown kind {kind!r}")
-            continue
-        if s.get("t0_ns") is None:
-            errors.append(f"series {name!r}: empty (null t0_ns)")
-            continue
-        dt = s.get("dt_ns")
-        if not isinstance(dt, list) or not all(
-            isinstance(d, int) and d > 0 for d in dt
-        ):
-            errors.append(f"series {name!r}: dt_ns is not positive integers")
-            continue
-        if kind == "counter":
-            v0, dv = s.get("v0"), s.get("dv")
-            if not isinstance(v0, int) or v0 < 0:
-                errors.append(f"series {name!r}: v0 is not a non-negative integer")
-            if not isinstance(dv, list) or len(dv) != len(dt):
-                errors.append(f"series {name!r}: dv length != dt_ns length")
-            elif not all(isinstance(d, int) and d >= 0 for d in dv):
-                errors.append(f"series {name!r}: counter decreased (negative dv)")
-        else:
-            values = s.get("values")
-            if not isinstance(values, list) or len(values) != len(dt) + 1:
-                errors.append(f"series {name!r}: values length != samples")
-            elif not all(isinstance(v, (int, float)) for v in values):
-                errors.append(f"series {name!r}: non-numeric gauge value")
-
-
-def check_sibling_timeline(path, errors):
-    """Experiments flagged "timeline" commit a timeline.json next to
-    their metrics.json; require it and validate its schema in place."""
-    sibling = os.path.join(os.path.dirname(os.path.abspath(path)), "timeline.json")
-    try:
-        with open(sibling) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        errors.append(f"sibling timeline.json unreadable or invalid: {exc}")
-        return
-    sub = []
-    check_timeline_doc(doc, sub)
-    errors.extend(f"timeline.json: {e}" for e in sub)
-
-
 def check(path):
     errors = []
     try:
@@ -425,10 +356,6 @@ def check(path):
         check_qcheck_summary(doc, errors)
         return errors, doc
 
-    if "timeline" in doc:
-        check_timeline_doc(doc, errors)
-        return errors, doc
-
     exp = experiment_name(path) or "generic"
     extra = REQUIRED_BY_EXPERIMENT.get(exp, {})
     check_counters(doc, errors, extra.get("counters", []), exp)
@@ -438,8 +365,6 @@ def check(path):
     check_histograms(doc, errors, traced, extra.get("ef_traffic", False),
                      extra.get("hists", []), exp)
     check_slo(doc, errors, traced)
-    if extra.get("timeline", False):
-        check_sibling_timeline(path, errors)
     return errors, doc
 
 
@@ -458,14 +383,6 @@ def main():
             print(f"{path}: ok [qcheck summary schema] "
                   f"({doc['seeds']} seeds, {doc['violations']} violations, "
                   f"{doc['totals']['events']} events)")
-        elif "timeline" in doc:
-            samples = max(
-                (len(s.get("dt_ns", [])) + 1 for s in doc["series"].values()),
-                default=0,
-            )
-            print(f"{path}: ok [timeline schema] "
-                  f"({len(doc['series'])} series, {samples} samples max, "
-                  f"interval {doc['interval_ns']} ns)")
         else:
             schema = experiment_name(path) or "generic"
             print(f"{path}: ok [{schema} schema] "

@@ -4,7 +4,7 @@
 //! arming the flight recorder must not perturb the simulation itself.
 
 use mpichgq_bench::{fig1, fig7, Fig1Cfg, RunOpts};
-use mpichgq_obs::{parse, FlightRecorder, Histogram, JsonWriter};
+use mpichgq_obs::{parse, FlightRecorder, Histogram, JsonWriter, Timeline};
 use mpichgq_sim::SimTime;
 
 fn short_cfg() -> Fig1Cfg {
@@ -80,8 +80,9 @@ fn arming_the_flight_recorder_does_not_perturb_the_simulation() {
 }
 
 /// Two identical sampled runs must serialize byte-identical timelines,
-/// and the document must pass the same shape gate CI runs (`qtop --check`)
-/// while carrying the series the instrumented layers promise.
+/// and the document must pass the same shape gate CI runs (`qreport
+/// --check`, i.e. `Timeline::from_json`) while carrying the series the
+/// instrumented layers promise.
 #[test]
 fn fig1_timeline_is_byte_stable_and_passes_qtop_check() {
     let a = fig1(short_cfg(), &RunOpts::traced(256));
@@ -89,15 +90,9 @@ fn fig1_timeline_is_byte_stable_and_passes_qtop_check() {
     let ta = a.timeline_json.expect("sampling was armed");
     let tb = b.timeline_json.expect("sampling was armed");
     assert_eq!(ta, tb, "timeline snapshot is not byte-stable");
-    mpichgq_apps::qtop::check(&ta)
-        .unwrap_or_else(|errs| panic!("timeline fails qtop --check: {errs:?}"));
-    let doc = parse(&ta).expect("timeline parses");
-    assert_eq!(doc.get("timeline").unwrap().as_u64(), Some(1));
-    assert_eq!(
-        doc.get("interval_ns").unwrap().as_u64(),
-        Some(100_000_000),
-        "interval must round-trip"
-    );
+    let tl = Timeline::from_json(&ta)
+        .unwrap_or_else(|errs| panic!("timeline fails qreport --check: {errs:?}"));
+    assert_eq!(tl.interval_ns(), 100_000_000, "interval must round-trip");
     for series in [
         "engine.events_processed",
         "engine.pending_events",
@@ -106,7 +101,7 @@ fn fig1_timeline_is_byte_stable_and_passes_qtop_check() {
         "slo.misses",
     ] {
         assert!(
-            doc.get("series").unwrap().get(series).is_some(),
+            tl.names().any(|n| n == series),
             "timeline missing series {series}: {ta}"
         );
     }
@@ -154,7 +149,7 @@ fn sampling_off_is_bit_identical_for_fig7() {
     assert!(off.timeline_json.is_none());
     let tl = on.timeline_json.expect("sampling was armed");
     mpichgq_apps::qtop::check(&tl)
-        .unwrap_or_else(|errs| panic!("fig7 timeline fails qtop --check: {errs:?}"));
+        .unwrap_or_else(|errs| panic!("fig7 timeline fails qreport --check: {errs:?}"));
 }
 
 /// The flight-recorder JSON schema pins `key` as u64 and `value` as i64

@@ -1,6 +1,6 @@
 //! End-to-end checks for packet-lifecycle tracing and the `qtrace`
 //! analyzer: a figure run's Chrome trace must be byte-stable across
-//! identical runs, structurally valid (`qtrace --check`'s gate), and the
+//! identical runs, structurally valid (`qreport --check`'s gate), and the
 //! rendered report must decompose delay per hop and carry the SLO table.
 
 use mpichgq_apps::qtrace;
